@@ -143,14 +143,17 @@ def semilattice_homs(S0: SemilatticeStructure, T: SemilatticeStructure,
     below it.  The search assigns irreducibles along a linear extension
     with ascending targets (pruning non-monotone prefixes), extends, and
     then verifies the join-preservation and surjectivity of the full map,
-    never trusting the generator coverage.
+    never trusting the generator coverage.  A surjective search with
+    |S0| < |T| returns before assigning anything: an image has at most
+    |S0| points.
     """
     if not (S0.is_upper and T.is_upper):
         raise ValueError("semilattice_homs requires upper semilattices")
     A, B = S0.base, T.base
+    if require_surjective and A.n < B.n:
+        return
     if A.n == 0:
-        if not require_surjective or B.n == 0:
-            yield MonotoneMap(A, B, (), map_kind(A, B, ()) or "isotone")
+        yield MonotoneMap(A, B, (), map_kind(A, B, ()) or "isotone")
         return
     if B.n == 0:
         return

@@ -210,13 +210,24 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _budget(args) -> int:
+    if args.budget is not None:
+        return args.budget
+    raw = os.environ.get("POSETIDEALS_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"POSETIDEALS_BUDGET must be an integer, got {raw!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.budget is not None:
-        budget = args.budget
-    else:
-        budget = int(os.environ.get("POSETIDEALS_BUDGET", DEFAULT_BUDGET))
     try:
+        budget = _budget(args)
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        if getattr(args, "max_n", 0) < 0:
+            raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
         if args.verb == "gen":
             return _cmd_gen(args)
         if args.verb == "complete":

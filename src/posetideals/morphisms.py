@@ -191,48 +191,61 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     and the certificate is the lexicographically least minimizing
     relabeling.  Branch-and-bound on encoding prefixes keeps this fast at
     the sizes the corpus generator needs.
+
+    Placing element ``old`` at position t contributes the code
+    ``up << t | down``: ``up`` has one bit per placed element p, set when
+    old <= p, and ``down`` one bit set when p <= old, the first placed
+    element most significant.  Both strings are kept up to date for every
+    unplaced element as the prefix grows, so each candidate costs O(1),
+    and codes of equal t order exactly like the 2t-bit tuples they pack.
     """
     n = P.n
     if n == 0:
         return Poset(0, (), None), ()
-    best_enc: list[tuple[int, ...]] | None = None
+    rel = P.up
+    best: list[int] = []
     best_perm: tuple[int, ...] | None = None
     perm: list[int] = []
+    codes: list[int] = []
     used = [False] * n
-    enc: list[tuple[int, ...]] = []
+    up = [0] * n
+    down = [0] * n
 
-    def step_bits(old: int) -> tuple[int, ...]:
-        t = len(perm)
-        out = []
-        for s in range(t):
-            out.append(1 if P.leq(old, perm[s]) else 0)
-        for s in range(t):
-            out.append(1 if P.leq(perm[s], old) else 0)
-        return tuple(out)
-
-    def rec():
-        nonlocal best_enc, best_perm
+    def rec(tight: bool) -> None:
+        # tight: the prefix codes equal best[:t]; otherwise they are less
+        nonlocal best, best_perm
         t = len(perm)
         if t == n:
-            if best_enc is None or enc < best_enc:
-                best_enc = list(enc)
+            if not tight:
+                best = list(codes)
                 best_perm = tuple(perm)
             return
         for old in range(n):
             if used[old]:
                 continue
-            sb = step_bits(old)
-            if best_enc is not None and enc + [sb] > best_enc[: t + 1]:
+            code = up[old] << t | down[old]
+            if tight and code > best[t]:
                 continue
             used[old] = True
             perm.append(old)
-            enc.append(sb)
-            rec()
-            enc.pop()
+            codes.append(code)
+            row = rel[old]
+            for u in range(n):
+                if not used[u]:
+                    up[u] = up[u] << 1 | rel[u] >> old & 1
+                    down[u] = down[u] << 1 | row >> u & 1
+            rec(tight and code == best[t])
+            for u in range(n):
+                if not used[u]:
+                    up[u] >>= 1
+                    down[u] >>= 1
+            codes.pop()
             perm.pop()
             used[old] = False
+            # a leaf below either matched best or replaced it
+            tight = True
 
-    rec()
+    rec(False)
     assert best_perm is not None
     rows = []
     for i in range(n):

@@ -126,6 +126,19 @@ def isotone_images_naive(A, B) -> set[tuple[int, ...]]:
     return out
 
 
+def semilattice_homs_naive(A, B, surjective: bool) -> set[tuple[int, ...]]:
+    """Every function between two upper semilattices' carriers, filtered by
+    the join-preservation clause (and onto-ness when asked)."""
+    out = set()
+    for img in product(range(B.base.n), repeat=A.base.n):
+        if surjective and len(set(img)) != B.base.n:
+            continue
+        if all(img[A.join[x][y]] == B.join[img[x]][img[y]]
+               for x in range(A.base.n) for y in range(A.base.n)):
+            out.add(img)
+    return out
+
+
 def x_down_naive(P, X) -> set[int]:
     out = set()
     for Q in X:
@@ -166,6 +179,24 @@ def all_posets_naive(n: int) -> set[tuple[int, ...]]:
                   for p in permutations(range(n)))
         canons.add(enc)
     return canons
+
+
+def canonical_form_naive(P) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical up-rows and certificate straight from canonical_form's
+    contract: over every relabeling perm (perm[new] = old), the least
+    (encoding, perm), where the encoding lists, for each position t, whether
+    perm[t] <= perm[s] and then whether perm[s] <= perm[t], for s < t."""
+    n = P.n
+
+    def encoding(p):
+        return tuple(tuple(P.leq(p[t], p[s]) for s in range(t))
+                     + tuple(P.leq(p[s], p[t]) for s in range(t))
+                     for t in range(n))
+
+    _, perm = min((encoding(p), p) for p in permutations(range(n)))
+    rows = tuple(sum(1 << j for j in range(n) if P.leq(perm[i], perm[j]))
+                 for i in range(n))
+    return rows, perm
 
 
 # --- ordinal models ------------------------------------------------------------

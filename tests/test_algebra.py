@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, posets, vee, wedge
+from oracles import semilattice_homs_naive
 from posetideals import (
     check_free_property,
     classify,
@@ -101,6 +102,17 @@ def test_semilattice_homs_empty_edges():
     assert [h.image for h in semilattice_homs(E, two)] == [()]
     assert list(semilattice_homs(E, two, require_surjective=True)) == []
     assert list(semilattice_homs(two, E)) == []
+
+
+def test_semilattice_homs_against_the_function_scan(corpus4):
+    # pairs with |A| < |B| meet the surjective cut-off, the rest the leaf filter
+    uppers = [S for S in (classify(P) for _, P in corpus4.items()) if S.is_upper]
+    assert len(uppers) == 10
+    for A in uppers:
+        for B in uppers:
+            for surjective in (False, True):
+                got = {h.image for h in semilattice_homs(A, B, surjective)}
+                assert got == semilattice_homs_naive(A, B, surjective)
 
 
 def test_induced_ideal_map_pulls_back():

@@ -143,6 +143,23 @@ def test_check_env_budget(capsys, monkeypatch):
     assert rc == 0
 
 
+def test_bad_env_budget_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("POSETIDEALS_BUDGET", "abc")
+    rc, out, err = run_cli(capsys, "check", "--suite", "kurepa")
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "--budget", "-5", "check", "--suite", "thm21",
+                           "--max-n", "2")
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
+def test_negative_max_n_is_a_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "check", "--suite", "thm21", "--max-n", "-1")
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
 def test_check_failure_exit(capsys, monkeypatch):
     from posetideals import cli
     from posetideals.verification import CheckReport

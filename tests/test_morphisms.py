@@ -1,10 +1,12 @@
 """Map search and classification, canonical forms, the ascending replay."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee
-from oracles import isotone_images_naive
+from oracles import canonical_form_naive, isotone_images_naive
 from posetideals import (
     BudgetExceeded,
     are_isomorphic,
@@ -110,7 +112,7 @@ def test_corpus_members_pairwise_nonisomorphic(corpus4):
 
 
 @settings(max_examples=60)
-@given(relabelings(5))
+@given(relabelings(7))
 def test_canonical_form_is_invariant(triple):
     P, Q, _ = triple
     assert canonical_key(P) == canonical_key(Q)
@@ -119,6 +121,18 @@ def test_canonical_form_is_invariant(triple):
     assert all(P.leq(perm[i], perm[j]) == canon.leq(i, j)
                for i in range(P.n) for j in range(P.n))
     assert are_isomorphic(P, canon)
+
+
+def test_canonical_form_against_the_permutation_scan(corpus5):
+    # pins representatives and certificates, hence instance ids
+    rng = random.Random(3)
+    for _, P in corpus5.items():
+        for _ in range(2):
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            Q = relabel(P, perm)
+            canon, cert = canonical_form(Q)
+            assert (canon.up, cert) == canonical_form_naive(Q)
 
 
 # --- ascending replay ----------------------------------------------------------

@@ -45,6 +45,12 @@ def test_corpus_counts(corpus5):
     assert ids[0] == "n0/00" and ids[-1] == "n5/62" and len(ids) == 88
 
 
+def test_corpus_counts_to_seven():
+    # OEIS A000112
+    corpus = generate_corpus(7, ceiling=7)
+    assert tuple(len(row) for row in corpus.by_size) == (1, 1, 2, 5, 16, 63, 318, 2045)
+
+
 def test_corpus_matches_the_relation_scan(corpus4):
     # independent count: every reflexive transitive antisymmetric relation,
     # deduplicated over relabelings
