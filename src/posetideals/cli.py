@@ -40,6 +40,9 @@ from .verification import (
 )
 
 COMPLETE_OPS = ("down", "id", "Id", "chid", "chId", "fdown", "idpow")
+# Id(P) is isomorphic to P for finite P, so iterating it further shows nothing
+# new; the cap only keeps a huge --k from running without end.
+IDPOW_MAX_K = 64
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -90,11 +93,14 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_json(path: str):
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 def _write(text: str, path: str) -> None:
@@ -126,6 +132,8 @@ def _cmd_gen(args) -> int:
 def _cmd_complete(args, budget: int) -> int:
     P = poset_from_json(_read_json(args.inp))
     if args.op == "idpow":
+        if args.k > IDPOW_MAX_K:
+            raise CapacityExceeded(f"--k {args.k} exceeds the idpow cap {IDPOW_MAX_K}")
         stage = iterate_id(P, args.k)
         _write(json_dumps(poset_to_json(stage)) + "\n", args.out)
         return 0
@@ -143,7 +151,6 @@ def _cmd_complete(args, budget: int) -> int:
 
 def _cmd_check(args, budget: int) -> int:
     reports = run_suite(args.suite, max_n=args.max_n, budget=budget, k=args.k)
-    corpus = generate_corpus(args.max_n)
     if args.format == "json":
         body = "\n".join(json_dumps(r.to_json()) for r in reports) + "\n"
     else:
@@ -152,7 +159,7 @@ def _cmd_check(args, budget: int) -> int:
             lines.append(f"{r.check} {r.instance}: {r.verdict}")
             if r.witness and "trace" in r.witness:
                 lines.append("  trace: " + ",".join(r.witness["trace"]))
-        lines.append(summarize(reports, corpus))
+        lines.append(summarize(reports, generate_corpus(args.max_n)))
         body = "\n".join(lines) + "\n"
     _write(body, args.out)
     verdicts = [r.verdict for r in reports]
@@ -205,7 +212,8 @@ def _cmd_ordinal(args) -> int:
 
 def _cmd_render(args) -> int:
     doc = _read_json(args.inp)
-    P = family_order_from_json(doc) if "sets" in doc else poset_from_json(doc)
+    is_family = isinstance(doc, dict) and "sets" in doc
+    P = family_order_from_json(doc) if is_family else poset_from_json(doc)
     _write(poset_to_dot(P), args.out)
     return 0
 

@@ -85,9 +85,21 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
 
     Source elements are assigned along a fixed linear extension of A with
     candidate targets in ascending index, so the enumeration order (and in
-    particular the first witness) is deterministic.  Every (element,
-    candidate) trial costs one budget node; exhausting the budget raises
-    BudgetExceeded rather than returning a partial answer.
+    particular the first witness) is deterministic.
+
+    An element's legal targets are one mask of B, the AND of one mask per
+    constraining element assigned before it (forward checking): the targets
+    above (strictly, for all but isotone maps) the image of each lower
+    cover, and for embeddings and isomorphisms the targets incomparable to
+    the image of each incomparable element; isomorphisms also drop the
+    targets already used.  Candidates are taken lowest bit first.
+
+    Budget nodes are counted per candidate index, as if each target were
+    tried in turn: an element is charged one node per target index up to
+    each candidate it takes, and the remaining indices once its mask runs
+    out; isomorphisms charge nothing for targets already used.  Exhausting
+    the budget raises BudgetExceeded rather than returning a partial answer,
+    after exactly the yields a one-candidate-at-a-time search would make.
     """
     if kind not in MAP_KINDS:
         raise ValueError(f"unknown map class {kind!r}")
@@ -99,55 +111,61 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
         return
     if kind == ISOMORPHISM and A.n != B.n:
         return
+    full = B.full_mask
+    strict = kind != ISOTONE
+    reflect = kind in (EMBEDDING, ISOMORPHISM)
+    injective = kind == ISOMORPHISM
+    above = [B.up[f] & ~(1 << f) if strict else B.up[f] for f in range(B.n)]
+    apart = [full & ~(B.up[f] | B.down[f]) for f in range(B.n)]
+    # cons[t]: (earlier element, mask table by its image) pairs bounding the
+    # candidates of position t.  Lower covers suffice for the order
+    # constraint, since the covers' own images already respect theirs.
     order = linear_extension(A)
-    img = [-1] * A.n
+    cons = []
+    earlier = 0
+    for s in order:
+        lower = A.down[s] & ~(1 << s)
+        pairs = [(c, above) for c in bits(lower) if A.up[c] & lower == 1 << c]
+        if reflect:
+            pairs += [(c, apart) for c in bits(earlier & ~lower)]
+        cons.append(pairs)
+        earlier |= 1 << s
+    last = A.n - 1
+    img = [0] * A.n
+    cands = [full] * A.n  # candidates not yet taken at each depth
+    rest = [full] * A.n   # free target indices not yet charged at each depth
+    used = 0
     nodes = 0
-    need_injective = kind == ISOMORPHISM
-    used = [False] * B.n
-
-    def ok(t: int, cand: int) -> bool:
-        s = order[t]
-        for t2 in range(t):
-            s2 = order[t2]
-            f2 = img[s2]
-            below = A.leq(s2, s)  # s <= s2 is impossible along a linear extension
-            if kind == ISOTONE:
-                if below and not B.leq(f2, cand):
-                    return False
-            elif kind == STRICTLY_ISOTONE:
-                if s2 != s and below and not B.lt(f2, cand):
-                    return False
-            else:  # embedding / isomorphism
-                if below:
-                    if not B.lt(f2, cand):
-                        return False
-                else:
-                    if B.leq(f2, cand) or B.leq(cand, f2):
-                        return False
-        return True
-
-    def search(t: int) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
-        if t == A.n:
-            yield tuple(img)
-            return
-        s = order[t]
-        for cand in range(B.n):
-            if need_injective and used[cand]:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
+    t = 0
+    while t >= 0:
+        m = cands[t]
+        low = m & -m
+        if budget is not None:
+            if low:
+                upto = (low << 1) - 1
+                nodes += (rest[t] & upto).bit_count()
+                rest[t] &= ~upto
+            else:
+                nodes += rest[t].bit_count()
+            if nodes > budget:
                 raise BudgetExceeded(budget)
-            if ok(t, cand):
-                img[s] = cand
-                if need_injective:
-                    used[cand] = True
-                yield from search(t + 1)
-                if need_injective:
-                    used[cand] = False
-                img[s] = -1
-
-    yield from search(0)
+        if not low:
+            t -= 1
+            if injective and t >= 0:
+                used ^= 1 << img[order[t]]
+            continue
+        cands[t] = m ^ low
+        img[order[t]] = low.bit_length() - 1
+        if t == last:
+            yield tuple(img)
+            continue
+        if injective:
+            used |= low
+        t += 1
+        m = rest[t] = full & ~used
+        for c, table in cons[t]:
+            m &= table[img[c]]
+        cands[t] = m
 
 
 def exists_map(A: Poset, B: Poset, kind: str,

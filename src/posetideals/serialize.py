@@ -13,7 +13,15 @@ import json
 
 from .completions import FamilyPoset
 from .morphisms import MonotoneMap
-from .poset import Poset, bits, bits_desc, hasse_covers, validate_up_rows
+from .poset import (
+    MAX_ELEMENTS,
+    Poset,
+    _check_capacity,
+    bits,
+    bits_desc,
+    hasse_covers,
+    validate_up_rows,
+)
 
 
 def json_dumps(obj) -> str:
@@ -27,12 +35,31 @@ def poset_to_json(P: Poset) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def poset_from_json(doc: dict) -> Poset:
-    n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    """Poset from a JSON document; a malformed document raises ValueError
+    (CapacityExceeded for more than MAX_ELEMENTS elements) before anything
+    is built from it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a poset document must be an object, got {type(doc).__name__}")
+    n = doc.get("n")
+    if not _is_int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
+    _check_capacity(n)
+    leq = doc.get("leq", [])
+    if not isinstance(leq, (list, tuple)):
+        raise ValueError("leq must be a list of pairs")
+    labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, (list, tuple)) and len(labels) == n):
+        raise ValueError(f"labels must be a list of {n} names")
     rows = [1 << i for i in range(n)]
-    for pair in doc.get("leq", ()):
+    for pair in leq:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(_is_int, pair))):
+            raise ValueError(f"leq entry {pair!r} is not a pair of integers")
         i, j = pair
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"leq pair {pair} out of range")
@@ -48,7 +75,6 @@ def poset_from_json(doc: dict) -> Poset:
             if acc != rows[i]:
                 rows[i] = acc
                 changed = True
-    labels = doc.get("labels")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
     return validate_up_rows(rows, labels=labels)
@@ -65,10 +91,16 @@ def family_to_json(F: FamilyPoset) -> dict:
 
 def family_order_from_json(doc: dict) -> Poset:
     """Rebuild just the inclusion order of a dumped family, for rendering."""
+    base_n, sets = doc.get("base_n"), doc.get("sets")
+    if not _is_int(base_n) or not 0 <= base_n <= MAX_ELEMENTS:
+        raise ValueError(f"base_n must be an integer in 0..{MAX_ELEMENTS}")
+    if not (isinstance(sets, list)
+            and all(_is_int(m) and 0 <= m < 1 << base_n for m in sets)):
+        raise ValueError(f"sets must be a list of masks over {base_n} elements")
     inner = {
-        "n": len(doc["sets"]),
-        "leq": doc["leq"],
-        "labels": [_set_label(m, doc["base_n"]) for m in doc["sets"]],
+        "n": len(sets),
+        "leq": doc.get("leq", []),
+        "labels": [_set_label(m, base_n) for m in sets],
     }
     return poset_from_json(inner)
 

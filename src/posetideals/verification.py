@@ -452,13 +452,15 @@ def chains_battery(max_len: int = 3) -> list[Poset]:
 
 def run_suite(name: str, max_n: int = 5, budget: int | None = DEFAULT_BUDGET,
               k: int = 3) -> list[CheckReport]:
+    """Reports of one suite; every suite but kurepa reads the corpus up to
+    max_n, and only those build it."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if name == "kurepa":
+        return [check_kurepa_atoms(kk) for kk in sorted({2, k})]
     corpus = generate_corpus(max_n)
     if name == "lemma51":
         return check_lemma_5_1(corpus, chains_battery(3), "chains<=3", budget)
-    if name == "kurepa":
-        return [check_kurepa_atoms(kk) for kk in sorted({2, k})]
     out = []
     for iid, P in corpus.items():
         if name == "thm21":

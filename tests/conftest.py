@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
+import posetideals
 from posetideals import Poset, from_up_rows, generate_corpus
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment for a child Python process: the posetideals under test
+    first on its path, so subprocess tests need no install or PYTHONPATH."""
+    root = str(Path(posetideals.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=root + (os.pathsep + path if path else ""), **extra)
 
 
 def chain(n: int) -> Poset:

@@ -9,9 +9,19 @@ degree triples) rather than a second copy of the normal-form code.
 from __future__ import annotations
 
 from itertools import permutations, product
+from typing import Iterator
 
 from posetideals import CnfOrdinal
+from posetideals.morphisms import (
+    DEFAULT_BUDGET,
+    ISOMORPHISM,
+    ISOTONE,
+    MAP_KINDS,
+    STRICTLY_ISOTONE,
+    BudgetExceeded,
+)
 from posetideals.ordinals import ZERO, cnf_from_int
+from posetideals.poset import Poset, linear_extension
 
 
 def members(mask: int) -> list[int]:
@@ -124,6 +134,81 @@ def isotone_images_naive(A, B) -> set[tuple[int, ...]]:
                for i in range(A.n) for j in range(A.n) if A.leq(i, j)):
             out.add(img)
     return out
+
+
+def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,
+                        budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
+    """The per-candidate map search iter_maps used before candidate masks,
+    kept verbatim: each candidate is tested against every earlier assigned
+    element.  Its yield order and budget accounting are iter_maps' contract.
+
+    All maps A -> B satisfying the class predicate, as image tuples.
+
+    Source elements are assigned along a fixed linear extension of A with
+    candidate targets in ascending index, so the enumeration order (and in
+    particular the first witness) is deterministic.  Every (element,
+    candidate) trial costs one budget node; exhausting the budget raises
+    BudgetExceeded rather than returning a partial answer.
+    """
+    if kind not in MAP_KINDS:
+        raise ValueError(f"unknown map class {kind!r}")
+    if A.n == 0:
+        if kind != ISOMORPHISM or B.n == 0:
+            yield ()
+        return
+    if B.n == 0:
+        return
+    if kind == ISOMORPHISM and A.n != B.n:
+        return
+    order = linear_extension(A)
+    img = [-1] * A.n
+    nodes = 0
+    need_injective = kind == ISOMORPHISM
+    used = [False] * B.n
+
+    def ok(t: int, cand: int) -> bool:
+        s = order[t]
+        for t2 in range(t):
+            s2 = order[t2]
+            f2 = img[s2]
+            below = A.leq(s2, s)  # s <= s2 is impossible along a linear extension
+            if kind == ISOTONE:
+                if below and not B.leq(f2, cand):
+                    return False
+            elif kind == STRICTLY_ISOTONE:
+                if s2 != s and below and not B.lt(f2, cand):
+                    return False
+            else:  # embedding / isomorphism
+                if below:
+                    if not B.lt(f2, cand):
+                        return False
+                else:
+                    if B.leq(f2, cand) or B.leq(cand, f2):
+                        return False
+        return True
+
+    def search(t: int) -> Iterator[tuple[int, ...]]:
+        nonlocal nodes
+        if t == A.n:
+            yield tuple(img)
+            return
+        s = order[t]
+        for cand in range(B.n):
+            if need_injective and used[cand]:
+                continue
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(budget)
+            if ok(t, cand):
+                img[s] = cand
+                if need_injective:
+                    used[cand] = True
+                yield from search(t + 1)
+                if need_injective:
+                    used[cand] = False
+                img[s] = -1
+
+    yield from search(0)
 
 
 def semilattice_homs_naive(A, B, surjective: bool) -> set[tuple[int, ...]]:

@@ -5,11 +5,11 @@ on success so a `pytest -s` run doubles as the sign-off transcript.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
 
+from conftest import child_env
 from oracles import all_posets_naive, id_type_truncated, pairs_to_cnf, triple_to_cnf
 
 from posetideals import (
@@ -167,7 +167,7 @@ def test_acceptance_9_full_run_is_byte_deterministic(tmp_path):
     suites = ["thm21", "thm31", "cor23", "cor32", "lemma51", "acc", "kurepa"]
 
     def one_run(hashseed):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = child_env(PYTHONHASHSEED=hashseed)
         chunks = []
         for s in suites:
             out = subprocess.run(

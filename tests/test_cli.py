@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import shutil
@@ -8,9 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import child_env
 from posetideals import iterate_id
-from posetideals.cli import main
+from posetideals.cli import IDPOW_MAX_K, main
+from posetideals.poset import MAX_ELEMENTS
 from posetideals.serialize import poset_from_json, poset_to_json
 
 DIAMOND_DOC = {"n": 4, "leq": [[0, 1], [0, 2], [1, 3], [2, 3]]}
@@ -107,6 +112,116 @@ def test_complete_rejects_bad_documents(capsys, tmp_path):
     notjson.write_text("pure garbage")
     rc, _, _ = run_cli(capsys, "complete", "--op", "down", "--in", str(notjson))
     assert rc == 2
+
+
+# Each malformed document, and the exit code complete and render give it:
+# 2 for bad input, 3 for a poset beyond the MAX_ELEMENTS envelope.
+BAD_DOCUMENTS = [
+    pytest.param([1], 2, id="list"),
+    pytest.param("poset", 2, id="string"),
+    pytest.param(None, 2, id="null"),
+    pytest.param({}, 2, id="no-n"),
+    pytest.param({"n": True}, 2, id="bool-n"),
+    pytest.param({"n": 2.0}, 2, id="float-n"),
+    pytest.param({"n": "2"}, 2, id="string-n"),
+    pytest.param({"n": MAX_ELEMENTS + 1}, 3, id="n-over-envelope"),
+    pytest.param({"n": 10**18}, 3, id="huge-n"),
+    pytest.param({"n": 2, "leq": {"0": 1}}, 2, id="leq-object"),
+    pytest.param({"n": 2, "leq": ["01"]}, 2, id="leq-string-entry"),
+    pytest.param({"n": 2, "leq": [[0, "1"]]}, 2, id="leq-string-index"),
+    pytest.param({"n": 2, "leq": [[0, True]]}, 2, id="leq-bool-index"),
+    pytest.param({"n": 2, "leq": [[0, 1, 1]]}, 2, id="leq-triple"),
+    pytest.param({"n": 2, "labels": "ab"}, 2, id="labels-string"),
+    pytest.param({"n": 2, "labels": ["a"]}, 2, id="labels-short"),
+]
+
+
+@pytest.mark.parametrize("verb", [("complete", "--op", "down"), ("render",)],
+                         ids=["complete", "render"])
+@pytest.mark.parametrize("doc,code", BAD_DOCUMENTS)
+def test_bad_documents_are_rejected(capsys, monkeypatch, verb, doc, code):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    rc, out, err = run_cli(capsys, *verb)
+    assert (rc, out) == (code, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"sets": [0, 1], "base_n": True, "leq": [[0, 1]]},
+    {"sets": [0, -1], "base_n": 1, "leq": [[0, 1]]},
+    {"sets": [0, 4], "base_n": 2, "leq": [[0, 1]]},
+    {"sets": "01", "base_n": 1},
+])
+def test_render_rejects_bad_families(capsys, monkeypatch, doc):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    rc, out, err = run_cli(capsys, "render")
+    assert (rc, out) == (2, "") and err.startswith("error: ")
+
+
+def test_deeply_nested_json_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100_000 + "]" * 100_000))
+    rc, _, err = run_cli(capsys, "render")
+    assert rc == 2 and err.startswith("error: ")
+
+
+def test_complete_idpow_k_is_capped(capsys, diamond_file):
+    rc, out, err = run_cli(capsys, "complete", "--op", "idpow", "--k",
+                           str(IDPOW_MAX_K + 1), "--in", diamond_file)
+    assert (rc, out) == (3, "") and err.startswith("error: ")
+    rc, out, _ = run_cli(capsys, "complete", "--op", "idpow", "--k",
+                         str(IDPOW_MAX_K), "--in", diamond_file)
+    assert rc == 0 and poset_from_json(json.loads(out)).n == 4
+    rc, _, err = run_cli(capsys, "complete", "--op", "idpow", "--k", "-1",
+                         "--in", diamond_file)
+    assert rc == 2 and err.startswith("error: ")
+
+
+# Integers stay in -3..10 or beyond the 64-element envelope.  A valid sparse
+# poset of 13 or more elements gives `complete` a family of thousands of sets
+# with a quadratic inclusion order, seconds to hours of work: a completion
+# cost, not an input-boundary question.
+json_ints = st.integers(-3, 10) | st.sampled_from([MAX_ELEMENTS + 1, 2**70, -2**70])
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=10)
+pairs = st.lists(st.lists(json_ints, min_size=2, max_size=2) | json_values, max_size=5)
+json_documents = (
+    json_values
+    | st.fixed_dictionaries({}, optional={
+        "n": json_ints | json_values, "leq": pairs | json_values,
+        "labels": st.lists(st.text(max_size=2), max_size=11) | json_values})
+    | st.fixed_dictionaries({"sets": st.lists(json_ints, max_size=6) | json_values}, optional={
+        "base_n": json_ints | json_values, "leq": pairs | json_values}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_documents)
+def test_arbitrary_documents_exit_cleanly(doc):
+    for verb in (("complete", "--op", "down"), ("render",)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+            rc = main(list(verb))
+        assert rc in (0, 2, 3), (verb, doc)
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+def test_json_check_builds_no_corpus_for_kurepa(capsys, monkeypatch):
+    from posetideals import cli, verification
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("corpus built")
+
+    monkeypatch.setattr(cli, "generate_corpus", refuse)
+    monkeypatch.setattr(verification, "generate_corpus", refuse)
+    rc, out, _ = run_cli(capsys, "--format", "json", "check", "--suite", "kurepa")
+    assert rc == 0 and len(out.splitlines()) == 2
 
 
 def test_check_kurepa_text(capsys):
@@ -267,13 +382,13 @@ ENTRY_ARGVS = (["gen", "--max-n", "3"], ["gen", "--max-n", "9"])
 
 def run_module(*argv):
     return subprocess.run([sys.executable, "-m", "posetideals", *argv],
-                          capture_output=True)
+                          capture_output=True, env=child_env())
 
 
 def assert_matches_module(cmd):
     for argv in ENTRY_ARGVS:
         want = run_module(*argv)
-        got = subprocess.run([*cmd, *argv], capture_output=True)
+        got = subprocess.run([*cmd, *argv], capture_output=True, env=child_env())
         assert (got.returncode, got.stdout) == (want.returncode, want.stdout), argv
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee
-from oracles import canonical_form_naive, isotone_images_naive
+from oracles import canonical_form_naive, isotone_images_naive, iter_maps_reference
 from posetideals import (
     BudgetExceeded,
     are_isomorphic,
@@ -24,6 +24,7 @@ from posetideals.morphisms import (
     EMBEDDING,
     ISOMORPHISM,
     ISOTONE,
+    MAP_KINDS,
     NOT_AN_IDEAL_OF_CHAINS,
     NOT_STRICTLY_ABOVE,
     STRICTLY_ISOTONE,
@@ -64,6 +65,34 @@ def test_iter_maps_against_the_function_scan(A, B):
                       if all(B.lt(img[i], img[j])
                              for i in range(A.n) for j in range(A.n)
                              if A.lt(i, j))}
+
+
+def _run_maps(gen):
+    """Everything a map search yields, and the budget it ran out of (or None)."""
+    out = []
+    try:
+        for img in gen:
+            out.append(img)
+    except BudgetExceeded as exc:
+        return out, exc.budget
+    return out, None
+
+
+def test_iter_maps_against_the_reference(corpus4):
+    # sources in their canonical labelling and reversed, so that the linear
+    # extension the search follows is not always the identity
+    targets = [P for _, P in corpus4.items()]
+    sources = targets + [relabel(P, tuple(reversed(range(P.n)))) for P in targets]
+    exhausted = 0
+    for A in sources:
+        for B in targets:
+            for kind in MAP_KINDS:
+                for budget in (None, 0, 1, 2, 4, 9, 23, 60):
+                    want = _run_maps(iter_maps_reference(A, B, kind, budget))
+                    assert _run_maps(iter_maps(A, B, kind, budget)) == want, \
+                        (A.up, B.up, kind, budget)
+                    exhausted += want[1] is not None
+    assert exhausted > 0
 
 
 def test_iter_maps_empty_cases():
