@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .poset import Poset, bits, down_closure, linear_extension, mask_of, render_elemset
+from .poset import (
+    Poset,
+    bits,
+    down_closure,
+    linear_extension,
+    mask_of,
+    refine_colours,
+    render_elemset,
+)
 
 ISOTONE = "isotone"
 STRICTLY_ISOTONE = "strictly_isotone"
@@ -203,12 +211,15 @@ def are_isomorphic(A: Poset, B: Poset, budget: int | None = DEFAULT_BUDGET) -> b
 def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     """Canonical relabeling of P.
 
-    Returns (canonical poset, perm) where perm[new] = old and the canonical
-    poset minimizes a fixed bit encoding of the relabeled relation over all
-    relabelings.  Isomorphic posets produce identical canonical relations,
-    and the certificate is the lexicographically least minimizing
-    relabeling.  Branch-and-bound on encoding prefixes keeps this fast at
-    the sizes the corpus generator needs.
+    Returns (canonical poset, perm) where perm[new] = old.  The elements
+    are first coloured by refine_colours, and perm must list them in
+    ascending colour: position t takes only elements of colour
+    sorted(colours)[t].  Among those relabelings the canonical poset
+    minimizes a fixed bit encoding of the relabeled relation, and the
+    certificate is the lexicographically least minimizing relabeling.
+    Colours and their order are isomorphism-invariant, so isomorphic
+    posets produce identical canonical relations.  Branch-and-bound on
+    encoding prefixes, within the colour order, does the search.
 
     Placing element ``old`` at position t contributes the code
     ``up << t | down``: ``up`` has one bit per placed element p, set when
@@ -221,6 +232,8 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     if n == 0:
         return Poset(0, (), None), ()
     rel = P.up
+    colours, _ = refine_colours(P)
+    slots = [[old for old in range(n) if colours[old] == c] for c in sorted(colours)]
     best: list[int] = []
     best_perm: tuple[int, ...] | None = None
     perm: list[int] = []
@@ -238,7 +251,7 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
                 best = list(codes)
                 best_perm = tuple(perm)
             return
-        for old in range(n):
+        for old in slots[t]:
             if used[old]:
                 continue
             code = up[old] << t | down[old]

@@ -299,6 +299,50 @@ def linear_extension(P: Poset) -> tuple[int, ...]:
     return tuple(sorted(range(P.n), key=lambda i: (P.down[i].bit_count(), i)))
 
 
+def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
+    """Stable colour refinement of P, and every round's signature table.
+
+    All elements start with colour 0.  A round gives element i the
+    signature (colour of i, sorted colours strictly below i, sorted colours
+    strictly above i) and recolours i by the rank of its signature in the
+    sorted table of distinct signatures; rounds repeat until no colour
+    changes.  Ranks of sorted signatures make the colours, and their
+    order, invariant under isomorphism.  Each round refines the previous
+    partition, so the loop settles within n + 1 rounds.
+    """
+    n = P.n
+    below = [row ^ 1 << i for i, row in enumerate(P.down)]
+    above = [row ^ 1 << i for i, row in enumerate(P.up)]
+    colours = [0] * n
+    classes = [P.full_mask]  # classes[c]: mask of the elements coloured c
+    rounds = []
+    for _ in range(n + 1):
+        sigs = []
+        for i in range(n):
+            # sorted colour tuples, built from one popcount per class
+            b, a = below[i], above[i]
+            sb = sa = ()
+            for c, m in enumerate(classes):
+                k = (b & m).bit_count()
+                if k:
+                    sb += (c,) * k
+                k = (a & m).bit_count()
+                if k:
+                    sa += (c,) * k
+            sigs.append((colours[i], sb, sa))
+        table = sorted(set(sigs))
+        rounds.append(table)
+        rank = {s: k for k, s in enumerate(table)}
+        nxt = [rank[s] for s in sigs]
+        if nxt == colours:
+            break
+        colours = nxt
+        classes = [0] * len(table)
+        for i, c in enumerate(colours):
+            classes[c] |= 1 << i
+    return colours, rounds
+
+
 def minimal_elements(P: Poset) -> int:
     return mask_of(i for i in range(P.n) if P.down[i] == 1 << i)
 

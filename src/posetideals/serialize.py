@@ -20,6 +20,7 @@ from .poset import (
     bits,
     bits_desc,
     hasse_covers,
+    refine_colours,
     validate_up_rows,
 )
 
@@ -112,7 +113,7 @@ def _set_label(mask: int, base_n: int) -> str:
 
 
 def invariant_hash(P: Poset) -> str:
-    """Isomorphism-stable fingerprint: iterated degree refinement.
+    """Isomorphism-stable fingerprint: the rounds of refine_colours.
 
     Cheaper than a canonical form; equal posets hash equal, and unequal
     hashes certify non-isomorphism (the converse can fail).  The digest
@@ -120,22 +121,8 @@ def invariant_hash(P: Poset) -> str:
     the partition shape alone cannot tell a three-chain from a chain plus
     a point.
     """
-    colors = [0] * P.n
-    rounds = []
-    for _ in range(P.n + 1):
-        sigs = []
-        for i in range(P.n):
-            below = sorted(colors[j] for j in bits(P.down[i]) if j != i)
-            above = sorted(colors[j] for j in bits(P.up[i]) if j != i)
-            sigs.append((colors[i], tuple(below), tuple(above)))
-        table = sorted(set(sigs))
-        ranking = {s: k for k, s in enumerate(table)}
-        nxt = [ranking[s] for s in sigs]
-        rounds.append([[c, list(b), list(a)] for c, b, a in table])
-        if nxt == colors:
-            break
-        colors = nxt
-    payload = json_dumps([P.n, rounds, sorted(colors)])
+    colours, rounds = refine_colours(P)
+    payload = json_dumps([P.n, rounds, sorted(colours)])
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

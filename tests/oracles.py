@@ -266,19 +266,43 @@ def all_posets_naive(n: int) -> set[tuple[int, ...]]:
     return canons
 
 
+def colours_naive(P) -> list[int]:
+    """The stable colour refinement from its definition, through P.leq only:
+    starting from one colour, recolour every element by the rank of
+    (its colour, sorted colours strictly below, sorted colours strictly
+    above) among the sorted distinct signatures, until the number of
+    colours stops growing."""
+    n = P.n
+    colours = [0] * n
+    while True:
+        sigs = [(colours[i],
+                 tuple(sorted(colours[j] for j in range(n) if j != i and P.leq(j, i))),
+                 tuple(sorted(colours[j] for j in range(n) if j != i and P.leq(i, j))))
+                for i in range(n)]
+        table = sorted(set(sigs))
+        nxt = [table.index(s) for s in sigs]
+        if len(set(nxt)) == len(set(colours)):
+            return nxt
+        colours = nxt
+
+
 def canonical_form_naive(P) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical up-rows and certificate straight from canonical_form's
-    contract: over every relabeling perm (perm[new] = old), the least
-    (encoding, perm), where the encoding lists, for each position t, whether
-    perm[t] <= perm[s] and then whether perm[s] <= perm[t], for s < t."""
+    contract: over every relabeling perm (perm[new] = old) that lists the
+    elements in ascending colour, the least (encoding, perm), where the
+    encoding lists, for each position t, whether perm[t] <= perm[s] and then
+    whether perm[s] <= perm[t], for s < t."""
     n = P.n
+    colours = colours_naive(P)
+    want = sorted(colours)
 
     def encoding(p):
         return tuple(tuple(P.leq(p[t], p[s]) for s in range(t))
                      + tuple(P.leq(p[s], p[t]) for s in range(t))
                      for t in range(n))
 
-    _, perm = min((encoding(p), p) for p in permutations(range(n)))
+    _, perm = min((encoding(p), p) for p in permutations(range(n))
+                  if [colours[i] for i in p] == want)
     rows = tuple(sum(1 << j for j in range(n) if P.leq(perm[i], perm[j]))
                  for i in range(n))
     return rows, perm

@@ -234,6 +234,17 @@ def test_check_kurepa_text(capsys):
                    "2 instances: holds\n")
 
 
+def test_check_summary_counts_per_size_only_per_instance(capsys):
+    # lemma51 and kurepa report per statement, so their report counts
+    # matching the corpus size (4 and 2) is a coincidence
+    rc, out, _ = run_cli(capsys, "check", "--suite", "lemma51", "--max-n", "2")
+    assert rc == 0 and out.endswith("\n4 instances: holds\n")
+    rc, out, _ = run_cli(capsys, "check", "--suite", "kurepa", "--max-n", "1")
+    assert rc == 0 and out.endswith("\n2 instances: holds\n")
+    rc, out, _ = run_cli(capsys, "check", "--suite", "thm21", "--max-n", "2")
+    assert rc == 0 and out.endswith("\n2+1+1 instances: holds\n")
+
+
 def test_check_json_reports(capsys):
     rc, out, _ = run_cli(capsys, "--format", "json", "check", "--suite", "thm21",
                          "--max-n", "3")

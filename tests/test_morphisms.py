@@ -13,6 +13,7 @@ from posetideals import (
     canonical_form,
     canonical_key,
     exists_map,
+    generate_corpus,
     ideals,
     isomorphism,
     iter_maps,
@@ -153,15 +154,17 @@ def test_canonical_form_is_invariant(triple):
 
 
 def test_canonical_form_against_the_permutation_scan(corpus5):
-    # pins representatives and certificates, hence instance ids
+    # pins representatives and certificates, hence instance ids: two
+    # relabelings of every n<=5 class, one of a sample of n=7 classes
     rng = random.Random(3)
-    for _, P in corpus5.items():
-        for _ in range(2):
-            perm = list(range(P.n))
-            rng.shuffle(perm)
-            Q = relabel(P, perm)
-            canon, cert = canonical_form(Q)
-            assert (canon.up, cert) == canonical_form_naive(Q)
+    cases = [P for _, P in corpus5.items() for _ in range(2)]
+    cases += rng.sample(generate_corpus(7, ceiling=7).by_size[7], 25)
+    for P in cases:
+        perm = list(range(P.n))
+        rng.shuffle(perm)
+        Q = relabel(P, perm)
+        canon, cert = canonical_form(Q)
+        assert (canon.up, cert) == canonical_form_naive(Q)
 
 
 # --- ascending replay ----------------------------------------------------------

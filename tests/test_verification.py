@@ -40,7 +40,7 @@ CORPUS_COUNTS = (1, 1, 2, 5, 16, 63)
 
 def test_corpus_counts(corpus5):
     assert tuple(len(row) for row in corpus5.by_size) == CORPUS_COUNTS
-    assert corpus5.provenance == "orderly-extension-v1"
+    assert corpus5.provenance == "orderly-extension-v2"
     ids = [iid for iid, _ in corpus5.items()]
     assert ids[0] == "n0/00" and ids[-1] == "n5/62" and len(ids) == 88
 
