@@ -29,6 +29,7 @@ from .serialize import (
 )
 from .verification import (
     FAILS,
+    PER_INSTANCE,
     SUITES,
     UNKNOWN,
     build_atoms_lattice,
@@ -159,7 +160,9 @@ def _cmd_check(args, budget: int) -> int:
             lines.append(f"{r.check} {r.instance}: {r.verdict}")
             if r.witness and "trace" in r.witness:
                 lines.append("  trace: " + ",".join(r.witness["trace"]))
-        lines.append(summarize(reports, generate_corpus(args.max_n)))
+        # only per-instance suites count their reports per corpus size
+        corpus = generate_corpus(args.max_n) if args.suite in PER_INSTANCE else None
+        lines.append(summarize(reports, corpus))
         body = "\n".join(lines) + "\n"
     _write(body, args.out)
     verdicts = [r.verdict for r in reports]

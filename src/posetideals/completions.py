@@ -5,14 +5,16 @@ sets in ascending bitmask order, and the inclusion order on them as a
 poset of its own (so each completion can be fed back into any operation).
 
 Family sizes can explode, so every enumerator takes a cap and raises
-CapacityExceeded on overflow rather than truncating.
+CapacityExceeded on overflow rather than truncating.  An N-set family
+carries an N x N-bit order, so the default cap of 2^14 sets also bounds
+that order at 32 MB.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .morphisms import MonotoneMap, iter_maps, map_kind
 from .poset import (
@@ -27,7 +29,7 @@ from .poset import (
     render_elemset,
 )
 
-DEFAULT_FAMILY_CAP = 1 << 20
+DEFAULT_FAMILY_CAP = 1 << 14
 
 KIND_DOWN = "down"
 KIND_IDEAL = "ideal"
@@ -40,6 +42,13 @@ KIND_XDOWN = "xdown"
 
 @dataclass(frozen=True)
 class FamilyPoset:
+    """A family of sets over ``base`` with its inclusion order.
+
+    ``order.labels`` are the members' display forms (render_elemset over
+    the base), rendered each time one is read and never stored, so a
+    family nobody prints pays nothing for them.
+    """
+
     base: Poset
     sets: tuple[int, ...]  # ascending mask order
     order: Poset           # inclusion order; element i is sets[i]
@@ -59,7 +68,42 @@ class FamilyPoset:
         return len(self.sets)
 
 
-def _inclusion_order(base: Poset, sets: Sequence[int]) -> Poset:
+class _SetLabels(Sequence):
+    """The labels of a family order, rendered from (base, sets) on read.
+
+    Reads like the tuple of rendered strings: indexing, iteration, len,
+    ``==`` and hash all agree with it.  A base that is itself a family
+    order gives labels of labels.
+    """
+
+    __slots__ = ("_base", "_sets")
+
+    def __init__(self, base: Poset, sets: tuple[int, ...]):
+        self._base = base
+        self._sets = sets
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __getitem__(self, i: int) -> str:
+        return render_elemset(self._base, self._sets[i])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _SetLabels)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
+def _inclusion_order(base: Poset, sets: tuple[int, ...]) -> Poset:
+    """The inclusion order on ascending masks, comparing every pair: O(N^2).
+
+    Labels are set labels over the base, rendered on read.  downsets builds
+    its order from covers instead; every other family is small enough on
+    the corpus (ideals have at most n + 1 members) to order pairwise.
+    """
     rows = []
     for s in sets:
         row = 0
@@ -67,8 +111,7 @@ def _inclusion_order(base: Poset, sets: Sequence[int]) -> Poset:
             if s & ~t == 0:
                 row |= 1 << j
         rows.append(row)
-    labels = tuple(render_elemset(base, s) for s in sets)
-    return Poset(len(sets), tuple(rows), labels)
+    return Poset(len(sets), tuple(rows), _SetLabels(base, sets))
 
 
 def _family(base: Poset, sets, kind: str, cap: int) -> FamilyPoset:
@@ -78,36 +121,54 @@ def _family(base: Poset, sets, kind: str, cap: int) -> FamilyPoset:
     return FamilyPoset(base, ordered, _inclusion_order(base, ordered), kind)
 
 
-def downsets(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> FamilyPoset:
-    """All downsets of P, including the empty set and P itself.
+def downset_masks(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> list[int]:
+    """The masks of all downsets of P, ascending, without their order.
 
     Walks a linear extension deciding membership element by element; an
     element may enter only once everything strictly below it has, so each
-    leaf of the walk is exactly one downset.
+    downset of the walked prefix arises exactly once.
     """
-    ext = linear_extension(P)
-    out: list[int] = []
+    out = [0]
+    for e in linear_extension(P):
+        below = P.down[e]
+        out += [m | 1 << e for m in out if below & ~m == 1 << e]
+        if len(out) > cap:
+            raise CapacityExceeded(f"downset family exceeds cap {cap}")
+    out.sort()
+    return out
 
-    def rec(t: int, m: int):
-        if t == len(ext):
-            out.append(m)
-            if len(out) > cap:
-                raise CapacityExceeded(f"downset family exceeds cap {cap}")
-            return
-        rec(t + 1, m)
-        e = ext[t]
-        if P.down[e] & ~m == 1 << e:
-            rec(t + 1, m | (1 << e))
 
-    rec(0, 0)
-    return _family(P, out, KIND_DOWN, cap)
+def downsets(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> FamilyPoset:
+    """All downsets of P, including the empty set and P itself.
+
+    The inclusion order is built from covers, not pairs: t contains s
+    exactly when t is reached from s by adding one element at a time, each
+    addition a downset.  Rows fill in descending mask order, row s being
+    bit s OR the rows of every s + {x} with x minimal outside s: O(N*n)
+    big-int ORs for N downsets instead of O(N^2) comparisons.
+    """
+    sets = tuple(downset_masks(P, cap))
+    index = {s: i for i, s in enumerate(sets)}
+    rows = [0] * len(sets)
+    for i in range(len(sets) - 1, -1, -1):
+        s = sets[i]
+        row = 1 << i
+        for x in bits(P.full_mask & ~s):
+            if P.down[x] & ~s == 1 << x:
+                row |= rows[index[s | 1 << x]]
+        rows[i] = row
+    order = Poset(len(sets), tuple(rows), _SetLabels(P, sets))
+    return FamilyPoset(P, sets, order, KIND_DOWN)
 
 
 def ideals(P: Poset, include_empty: bool, cap: int = DEFAULT_FAMILY_CAP) -> FamilyPoset:
     """Upward directed downsets.  The empty set is directed; the flag says
-    whether to keep it."""
-    fam = downsets(P, cap)
-    keep = [s for s in fam.sets if (s or include_empty) and is_directed(P, s)]
+    whether to keep it.
+
+    Filters the downset masks (so the cap bounds them too) and orders the
+    few survivors pairwise; on a finite poset they number at most n + 1.
+    """
+    keep = [s for s in downset_masks(P, cap) if (s or include_empty) and is_directed(P, s)]
     kind = KIND_IDEAL if include_empty else KIND_NONEMPTY_IDEAL
     return _family(P, keep, kind, cap)
 
@@ -207,7 +268,8 @@ def compact_elements(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> int:
     Brute force over all nonempty directed subsets that possess a least
     upper bound; subsets without one impose no constraint.  The directed
     sets quantified over are nonempty: otherwise a least element, whose
-    empty-set supremum it is, could never be compact.
+    empty-set supremum it is, could never be compact.  The scan covers all
+    2^n subsets and shares the family cap, so the default allows n <= 14.
     """
     if P.n == 0:
         return 0

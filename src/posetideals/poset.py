@@ -75,13 +75,13 @@ class Poset:
     """An immutable finite poset.
 
     ``up[i]`` is the bitmask of elements j with i <= j (always including i
-    itself).  ``labels`` is an optional display name per element; it plays
-    no role in any algorithm.
+    itself).  ``labels`` is an optional display name per element, a tuple
+    or a sequence that reads like one; it plays no role in any algorithm.
     """
 
     n: int
     up: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    labels: Sequence[str] | None = None
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -207,14 +207,23 @@ def is_chain(P: Poset, c: int) -> bool:
 
 
 def hasse_covers(P: Poset) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (i, j): i < j with nothing strictly between."""
+    """Cover pairs (i, j): i < j with nothing strictly between, ascending.
+
+    Starts from everything strictly above i and walks what is left in
+    ascending index order, clearing everything strictly above each element
+    it meets.  A cover is never strictly above another candidate, so it
+    survives, and every other candidate lies above some cover, so it is
+    cleared: one mask operation per surviving candidate, in any index order.
+    """
     out = []
-    for i in range(P.n):
-        strict_up = P.up[i] & ~(1 << i)
-        for j in bits(strict_up):
-            between = P.up[i] & P.down[j] & ~(1 << i) & ~(1 << j)
-            if not between:
-                out.append((i, j))
+    for i, row in enumerate(P.up):
+        cov = row ^ 1 << i
+        rest = cov
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            cov &= ~P.up[j] | 1 << j
+            rest = cov >> (j + 1) << (j + 1)
+        out.extend((i, j) for j in bits(cov))
     return tuple(out)
 
 

@@ -15,7 +15,15 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra import classify, semilattice_homs, subsemilattices, substructure
-from .completions import chain_ideals, downsets, ideals, iterate_id, principal_embedding, x_down
+from .completions import (
+    chain_ideals,
+    downset_masks,
+    downsets,
+    ideals,
+    iterate_id,
+    principal_embedding,
+    x_down,
+)
 from .morphisms import (
     DEFAULT_BUDGET,
     ISOMORPHISM,
@@ -108,7 +116,7 @@ def generate_corpus(max_n: int = 5, ceiling: int = CORPUS_CEILING) -> Corpus:
     for n in range(1, max_n + 1):
         seen: dict[tuple[int, ...], Poset] = {}
         for parent in rows[n - 1]:
-            for d in downsets(parent).sets:
+            for d in downset_masks(parent):
                 canon, _ = canonical_form(_extend_by_maximal(parent, d))
                 seen.setdefault(canon.up, canon)
         rows.append(tuple(sorted(seen.values(), key=lambda Q: Q.up)))

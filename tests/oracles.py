@@ -90,6 +90,18 @@ def covers_naive(P) -> set[tuple[int, int]]:
     return out
 
 
+def inclusion_rows_pairwise(sets) -> tuple[int, ...]:
+    """Up-rows of the inclusion order on sets, comparing every pair."""
+    rows = []
+    for s in sets:
+        row = 0
+        for j, t in enumerate(sets):
+            if s & ~t == 0:
+                row |= 1 << j
+        rows.append(row)
+    return tuple(rows)
+
+
 def fdown_naive(P) -> set[int]:
     """Unions of nonempty sets of principal downsets."""
     principal = []

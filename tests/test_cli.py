@@ -176,11 +176,11 @@ def test_complete_idpow_k_is_capped(capsys, diamond_file):
     assert rc == 2 and err.startswith("error: ")
 
 
-# Integers stay in -3..10 or beyond the 64-element envelope.  A valid sparse
-# poset of 13 or more elements gives `complete` a family of thousands of sets
-# with a quadratic inclusion order, seconds to hours of work: a completion
-# cost, not an input-boundary question.
-json_ints = st.integers(-3, 10) | st.sampled_from([MAX_ELEMENTS + 1, 2**70, -2**70])
+# Integers reach -3..20, past the 2^14-set family cap, or beyond the
+# 64-element envelope.  A valid sparse poset of up to 14 elements makes
+# `complete` print a family of thousands of downsets; one of 15 or more runs
+# into the cap and exits 3.
+json_ints = st.integers(-3, 20) | st.sampled_from([MAX_ELEMENTS + 1, 2**70, -2**70])
 json_values = st.recursive(
     st.none() | st.booleans() | json_ints | st.floats(allow_nan=False)
     | st.text(max_size=4),
@@ -192,7 +192,7 @@ json_documents = (
     json_values
     | st.fixed_dictionaries({}, optional={
         "n": json_ints | json_values, "leq": pairs | json_values,
-        "labels": st.lists(st.text(max_size=2), max_size=11) | json_values})
+        "labels": st.lists(st.text(max_size=2), max_size=21) | json_values})
     | st.fixed_dictionaries({"sets": st.lists(json_ints, max_size=6) | json_values}, optional={
         "base_n": json_ints | json_values, "leq": pairs | json_values}))
 
@@ -212,7 +212,8 @@ def test_arbitrary_documents_exit_cleanly(doc):
             assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
 
-def test_json_check_builds_no_corpus_for_kurepa(capsys, monkeypatch):
+@pytest.fixture
+def no_corpus(monkeypatch):
     from posetideals import cli, verification
 
     def refuse(*args, **kwargs):
@@ -220,18 +221,40 @@ def test_json_check_builds_no_corpus_for_kurepa(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "generate_corpus", refuse)
     monkeypatch.setattr(verification, "generate_corpus", refuse)
+
+
+KUREPA_TEXT = ("kurepa atoms(k=2): holds\n"
+               "  trace: ∅,{0},{a0,0},{a1,a0,0}\n"
+               "kurepa atoms(k=3): holds\n"
+               "  trace: ∅,{0},{a0,0},{a1,a0,0}\n"
+               "2 instances: holds\n")
+
+
+def test_json_check_builds_no_corpus_for_kurepa(capsys, no_corpus):
     rc, out, _ = run_cli(capsys, "--format", "json", "check", "--suite", "kurepa")
     assert rc == 0 and len(out.splitlines()) == 2
+
+
+def test_text_check_builds_no_corpus_for_kurepa(capsys, no_corpus):
+    # far above the corpus ceiling, which kurepa never reads
+    rc, out, _ = run_cli(capsys, "check", "--suite", "kurepa", "--max-n", "9")
+    assert (rc, out) == (0, KUREPA_TEXT)
+
+
+def test_complete_down_stops_at_the_family_cap(capsys, monkeypatch):
+    # a 15-element antichain has 2^15 downsets, twice the default cap
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n": 15})))
+    rc, out, err = run_cli(capsys, "complete", "--op", "down")
+    assert (rc, out) == (3, "") and err.startswith("error: ")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"n": 14})))
+    rc, out, _ = run_cli(capsys, "complete", "--op", "down")
+    assert rc == 0 and len(json.loads(out)["sets"]) == 1 << 14
 
 
 def test_check_kurepa_text(capsys):
     rc, out, _ = run_cli(capsys, "check", "--suite", "kurepa")
     assert rc == 0
-    assert out == ("kurepa atoms(k=2): holds\n"
-                   "  trace: ∅,{0},{a0,0},{a1,a0,0}\n"
-                   "kurepa atoms(k=3): holds\n"
-                   "  trace: ∅,{0},{a0,0},{a1,a0,0}\n"
-                   "2 instances: holds\n")
+    assert out == KUREPA_TEXT
 
 
 def test_check_summary_counts_per_size_only_per_instance(capsys):

@@ -3,13 +3,16 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import antichain, chain, diamond, posets, vee
+import random
+
+from conftest import antichain, chain, diamond, posets, relabel, vee
 from oracles import (
     chain_downsets_naive,
     compact_naive,
     downsets_naive,
     fdown_naive,
     ideals_naive,
+    inclusion_rows_pairwise,
     x_down_naive,
 )
 from posetideals import (
@@ -18,6 +21,7 @@ from posetideals import (
     chain_ideals,
     compact_elements,
     downsets,
+    generate_corpus,
     fdown,
     ideals,
     iterate_id,
@@ -27,7 +31,7 @@ from posetideals import (
     x_down,
 )
 from posetideals.morphisms import ISOMORPHISM, are_isomorphic
-from posetideals.poset import adjoin_bounds, is_downset
+from posetideals.poset import adjoin_bounds, is_downset, render_elemset
 
 
 @settings(max_examples=60)
@@ -78,6 +82,49 @@ def test_family_poset_protocol():
     # inclusion order reflects subsetness and keeps display labels
     assert F.order.leq(F.index(0), F.index(0b1111))
     assert F.order.labels[F.index(0b0011)] == "{a,0}"
+
+
+def corpus6_and_relabelings():
+    """Every n<=6 class, then two seeded relabellings of each."""
+    rng = random.Random(7)
+    classes = [P for _, P in generate_corpus(6).items()]
+    out = list(classes)
+    for P in classes:
+        for _ in range(2):
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            out.append(relabel(P, perm))
+    return out
+
+
+def test_downset_rows_match_the_pairwise_order():
+    for P in corpus6_and_relabelings():
+        fam = downsets(P)
+        assert fam.order.up == inclusion_rows_pairwise(fam.sets)
+
+
+def eager(Q: Poset) -> Poset:
+    """Q with its labels rendered into a plain tuple."""
+    return Poset(Q.n, Q.up, None if Q.labels is None else tuple(Q.labels))
+
+
+def test_lazy_labels_read_like_rendered_strings(corpus4):
+    for _, P in corpus4.items():
+        P = Poset(P.n, P.up, tuple(f"p{i}" for i in range(P.n)))
+        for fam in (downsets(P), ideals(P, True), ideals(P, False)):
+            rendered = tuple(render_elemset(P, s) for s in fam.sets)
+            labels = fam.order.labels
+            assert tuple(labels) == rendered and list(labels) == list(rendered)
+            assert len(labels) == len(rendered) and labels == rendered
+            assert hash(labels) == hash(rendered)
+            assert [fam.order.label(i) for i in range(len(fam))] == list(rendered)
+            assert fam.order == eager(fam.order)
+            assert hash(fam.order) == hash(eager(fam.order))
+        # labels of labels: each stage renders over the stage before it
+        stage1 = ideals(P, False).order
+        stage2 = ideals(eager(stage1), False)
+        assert tuple(iterate_id(P, 2).labels) == tuple(
+            render_elemset(eager(stage1), s) for s in stage2.sets)
 
 
 def test_family_cap():
