@@ -12,7 +12,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .completions import FamilyPoset, fdown
 from .morphisms import MonotoneMap, iter_maps, map_kind
-from .poset import Poset, bits, down_closure, induced
+from .poset import Poset, bits, down_closure, induced, least_in
 
 UPPER = "upper"
 LOWER = "lower"
@@ -40,27 +40,19 @@ class SemilatticeStructure:
         return self.kind == LATTICE
 
 
-def _bound(P: Poset, rows: tuple[int, ...], i: int, j: int) -> int | None:
-    # least element of the common bound set, if the set has one
-    common = rows[i] & rows[j]
-    for m in bits(common):
-        if common & ~rows[m] == 0:
-            return m
-    return None
-
-
 def classify(P: Poset) -> SemilatticeStructure:
     """Join and meet tables plus the structure tag."""
     join = []
     meet = []
     join_total = True
     meet_total = True
+    up, down = P.up, P.down
     for i in range(P.n):
         jrow = []
         mrow = []
         for j in range(P.n):
-            v = _bound(P, P.up, i, j)
-            w = _bound(P, P.down, i, j)
+            v = least_in(up, up[i] & up[j])
+            w = least_in(down, down[i] & down[j])
             jrow.append(v)
             mrow.append(w)
             join_total &= v is not None

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Verbs: gen (corpus), complete (family operators), check (suites),
-counterexample (named constructions), ordinal (CNF calculus), render (DOT).
+Verbs: gen (corpus), complete (family operators), check (one suite, or
+every suite in turn with --suite all), counterexample (named constructions),
+ordinal (CNF calculus), render (DOT).
 Exit codes: 0 success, 1 a check failed, 2 usage or bad input, 3 a
 capacity or search budget was exhausted.  All output is deterministic;
 --seed is accepted for interface stability but nothing consumes it.
@@ -68,7 +69,8 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default="-")
 
     k = sub.add_parser("check", help="run a verification suite")
-    k.add_argument("--suite", choices=SUITES, required=True)
+    k.add_argument("--suite", choices=SUITES + ("all",), required=True,
+                   help="one suite, or all of them in turn")
     k.add_argument("--max-n", type=int, default=5)
     k.add_argument("--k", type=int, default=3)
     k.add_argument("--out", default="-")
@@ -151,21 +153,24 @@ def _cmd_complete(args, budget: int) -> int:
 
 
 def _cmd_check(args, budget: int) -> int:
-    reports = run_suite(args.suite, max_n=args.max_n, budget=budget, k=args.k)
-    if args.format == "json":
-        body = "\n".join(json_dumps(r.to_json()) for r in reports) + "\n"
-    else:
-        lines = []
-        for r in reports:
-            lines.append(f"{r.check} {r.instance}: {r.verdict}")
-            if r.witness and "trace" in r.witness:
-                lines.append("  trace: " + ",".join(r.witness["trace"]))
-        # only per-instance suites count their reports per corpus size
-        corpus = generate_corpus(args.max_n) if args.suite in PER_INSTANCE else None
-        lines.append(summarize(reports, corpus))
-        body = "\n".join(lines) + "\n"
-    _write(body, args.out)
-    verdicts = [r.verdict for r in reports]
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    chunks, verdicts = [], set()
+    for suite in suites:
+        reports = run_suite(suite, max_n=args.max_n, budget=budget, k=args.k)
+        verdicts.update(r.verdict for r in reports)
+        if args.format == "json":
+            lines = [json_dumps(r.to_json()) for r in reports]
+        else:
+            lines = []
+            for r in reports:
+                lines.append(f"{r.check} {r.instance}: {r.verdict}")
+                if r.witness and "trace" in r.witness:
+                    lines.append("  trace: " + ",".join(r.witness["trace"]))
+            # only per-instance suites count their reports per corpus size
+            corpus = generate_corpus(args.max_n) if suite in PER_INSTANCE else None
+            lines.append(summarize(reports, corpus))
+        chunks.append("\n".join(lines) + "\n")
+    _write("".join(chunks), args.out)
     if FAILS in verdicts:
         return 1
     if UNKNOWN in verdicts:

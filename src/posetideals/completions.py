@@ -24,6 +24,7 @@ from .poset import (
     down_closure,
     induced,
     is_directed,
+    least_in,
     linear_extension,
     mask_of,
     render_elemset,
@@ -254,13 +255,6 @@ def principal_embedding(P: Poset) -> MonotoneMap:
     return MonotoneMap(P, fam.order, image, kind)
 
 
-def _least_upper_bound(P: Poset, ub_mask: int) -> int | None:
-    for m in bits(ub_mask):
-        if ub_mask & ~P.up[m] == 0:
-            return m
-    return None
-
-
 def compact_elements(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> int:
     """Elements x such that every nonempty directed set with a least upper
     bound above x already contains a member above x.
@@ -288,7 +282,7 @@ def compact_elements(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> int:
         if ub in lub_memo:
             lub = lub_memo[ub]
         else:
-            lub = lub_memo[ub] = _least_upper_bound(P, ub)
+            lub = lub_memo[ub] = least_in(P.up, ub)
         if lub is None:
             continue
         covered = down_closure(P, s)
@@ -312,13 +306,7 @@ def n_compact_elements(P: Poset, n: int, cap: int = DEFAULT_FAMILY_CAP) -> int:
 
 def least_compact_above(P: Poset, a: int, cap: int = DEFAULT_FAMILY_CAP) -> int | None:
     """The minimum of the compact elements above a, when that set has one."""
-    cand = compact_elements(P, cap) & P.up[a]
-    if not cand:
-        return None
-    for m in bits(cand):
-        if cand & ~P.up[m] == 0:
-            return m
-    return None
+    return least_in(P.up, compact_elements(P, cap) & P.up[a])
 
 
 def x_down(P: Poset, X: Sequence[Poset], cap: int = DEFAULT_FAMILY_CAP,

@@ -177,6 +177,11 @@ def product_has_cofinal_chain(chains: list[ChainDescriptor]) -> bool:
 # --- literal grammar ---------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*(w|id|\d+|[\^*+()])")
+# Literals nest at most this deep (each ^ operand and each parenthesis is a
+# level), so neither the parser nor the recursion over the ordinal it builds
+# (cnf_str, comparisons) meets Python's limit.  cnf_str puts an infinite
+# exponent in parentheses, so a tower taller than half this does not parse back.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -192,6 +197,7 @@ class _Parser:
             self.tokens.append(m.group(1))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -224,6 +230,14 @@ class _Parser:
         return v
 
     def atom(self) -> CnfOrdinal:
+        if self.depth == MAX_NESTING:
+            raise ValueError(f"ordinal literal nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        v = self._atom()
+        self.depth -= 1
+        return v
+
+    def _atom(self) -> CnfOrdinal:
         tok = self.take()
         if tok == "w":
             if self.peek() == "^":

@@ -163,6 +163,28 @@ def from_up_rows(rows: Sequence[int], labels=None) -> Poset:
     return Poset(len(rows), tuple(rows), labels)
 
 
+def transitive_closure(rows: Sequence[int]) -> list[int]:
+    """Transitive closure of a relation given as bitmask rows (bit j of
+    rows[i] says i R j): Warshall's algorithm, one pass over the middle
+    element k, ORing row k into every row that reaches k."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit, row_k = 1 << k, rows[k]
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return rows
+
+
+def least_in(rows: Sequence[int], mask: int) -> int | None:
+    """The least member of mask under up-rows: the m in mask with
+    mask & ~rows[m] == 0, else None.  Pass down-rows for the greatest."""
+    for m in bits(mask):
+        if mask & ~rows[m] == 0:
+            return m
+    return None
+
+
 def down_closure(P: Poset, x: int) -> int:
     """Least downset containing the elements of mask x."""
     out = 0

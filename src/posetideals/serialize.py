@@ -17,10 +17,11 @@ from .poset import (
     MAX_ELEMENTS,
     Poset,
     _check_capacity,
-    bits,
-    bits_desc,
+    from_up_rows,
     hasse_covers,
     refine_colours,
+    render_elemset,
+    transitive_closure,
     validate_up_rows,
 )
 
@@ -65,20 +66,10 @@ def poset_from_json(doc: dict) -> Poset:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"leq pair {pair} out of range")
         rows[i] |= 1 << j
-    # transitive closure, then validate antisymmetry on the result
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = rows[i]
-            for j in bits(rows[i]):
-                acc |= rows[j]
-            if acc != rows[i]:
-                rows[i] = acc
-                changed = True
     if labels is not None:
         labels = tuple(str(x) for x in labels)
-    return validate_up_rows(rows, labels=labels)
+    # antisymmetry is validated on the closure
+    return validate_up_rows(transitive_closure(rows), labels=labels)
 
 
 def family_to_json(F: FamilyPoset) -> dict:
@@ -98,18 +89,13 @@ def family_order_from_json(doc: dict) -> Poset:
     if not (isinstance(sets, list)
             and all(_is_int(m) and 0 <= m < 1 << base_n for m in sets)):
         raise ValueError(f"sets must be a list of masks over {base_n} elements")
+    base = from_up_rows([1 << i for i in range(base_n)])  # no labels: members print as indices
     inner = {
         "n": len(sets),
         "leq": doc.get("leq", []),
-        "labels": [_set_label(m, base_n) for m in sets],
+        "labels": [render_elemset(base, m) for m in sets],
     }
     return poset_from_json(inner)
-
-
-def _set_label(mask: int, base_n: int) -> str:
-    if mask == 0:
-        return "∅"
-    return "{" + ",".join(str(i) for i in bits_desc(mask)) + "}"
 
 
 def invariant_hash(P: Poset) -> str:

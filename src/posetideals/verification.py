@@ -43,6 +43,7 @@ from .morphisms import (
 from .poset import (
     CapacityExceeded,
     Poset,
+    _check_capacity,
     adjoin_bounds,
     direct_product,
     disjoint_union,
@@ -50,6 +51,8 @@ from .poset import (
     from_up_rows,
     induced,
     is_directed,
+    least_in,
+    mask_of,
     minimal_elements,
 )
 
@@ -244,6 +247,7 @@ def build_chain_bundle(k: int) -> Poset:
     if k < 1:
         raise ValueError("k must be >= 1")
     m = 2 + k * (k + 1) // 2
+    _check_capacity(m)
     top = m - 1
     rows = [(1 << m) - 1]  # bottom sees everything
     labels = ["0"]
@@ -271,6 +275,7 @@ def build_atoms_lattice(k: int) -> tuple[Poset, MonotoneMap]:
     if k < 2:
         raise ValueError("k must be >= 2")
     n = k + 2
+    _check_capacity(n)
     top = n - 1
     rows = [(1 << n) - 1]
     labels = ["0"]
@@ -304,6 +309,9 @@ def build_idemb_tower(L: Poset, N: int) -> Poset:
         raise ValueError("L must be a nonempty lattice")
     if N < 0:
         raise ValueError("N must be >= 0")
+    # a finite lattice's nonempty ideals are its principal ones: every
+    # stage has L.n elements
+    _check_capacity((N + 1) * L.n + 2)
     stages = [L]
     for _ in range(N):
         stages.append(ideals(stages[-1], include_empty=False).order)
@@ -323,18 +331,6 @@ def _cofinal_image_exists(R: Poset, Q: Poset, Qp: Poset,
         if down_closure(prod, image_mask) == prod.full_mask:
             return True
     return False
-
-
-def _family_join(sets_list, a: int, b: int) -> int | None:
-    """Least family member containing a | b; None if there is no least one."""
-    target = a | b
-    candidates = [m for m in sets_list if m & target == target]
-    if not candidates:
-        return None
-    best = min(candidates, key=lambda m: (bin(m).count("1"), m))
-    if all(c & best == best for c in candidates):
-        return best
-    return None
 
 
 def check_lemma_5_1(corpus: Corpus, X: list[Poset], x_name: str = "X",
@@ -384,13 +380,17 @@ def check_lemma_5_1(corpus: Corpus, X: list[Poset], x_name: str = "X",
             XD = set(x_down(P, X, budget=budget).sets)
             fam = sorted(XD)
             if want_join:
-                id_sets = ideals(P, include_empty=True).sets
+                Id = ideals(P, include_empty=True)
             for a in fam:
                 for b in fam:
                     if want_meet and (a & b) not in XD:
                         return {"poset": iid, "a": a, "b": b, "meet": a & b}
                     if want_join:
-                        j = _family_join(id_sets, a, b)
+                        # the least ideal containing a | b, if there is one
+                        t = a | b
+                        m = least_in(Id.order.up, mask_of(
+                            i for i, d in enumerate(Id.sets) if t & ~d == 0))
+                        j = None if m is None else Id.sets[m]
                         if j is None or j not in XD:
                             return {"poset": iid, "a": a, "b": b, "join": j}
         return None

@@ -90,6 +90,27 @@ def covers_naive(P) -> set[tuple[int, int]]:
     return out
 
 
+def transitive_closure_naive(rows) -> list[int]:
+    """Closure by the pairwise fixpoint: add (i, k) for every i R j and
+    j R k until nothing changes."""
+    n = len(rows)
+    rel = {(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1}
+    while True:
+        more = {(i, k) for i, j in rel for j2, k in rel if j == j2} - rel
+        if not more:
+            return [sum(1 << j for j in range(n) if (i, j) in rel) for i in range(n)]
+        rel |= more
+
+
+def least_naive(P, s: int):
+    """The member of s below every member of s, if there is one."""
+    elems = members(s)
+    for m in elems:
+        if all(P.leq(m, x) for x in elems):
+            return m
+    return None
+
+
 def inclusion_rows_pairwise(sets) -> tuple[int, ...]:
     """Up-rows of the inclusion order on sets, comparing every pair."""
     rows = []

@@ -9,14 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env
 from posetideals import iterate_id
-from posetideals.cli import IDPOW_MAX_K, main
+from posetideals.cli import COMPLETE_OPS, IDPOW_MAX_K, main
 from posetideals.poset import MAX_ELEMENTS
 from posetideals.serialize import poset_from_json, poset_to_json
+from posetideals.verification import SUITES
 
 DIAMOND_DOC = {"n": 4, "leq": [[0, 1], [0, 2], [1, 3], [2, 3]]}
 
@@ -212,6 +213,56 @@ def test_arbitrary_documents_exit_cleanly(doc):
             assert err.getvalue().startswith("error: ") and out.getvalue() == ""
 
 
+def argvs(tmp: Path):
+    """argv lists over every verb but render, small enough to run at once:
+    --max-n <= 3, --k <= 4, budgets -2..50, ordinal text from a small
+    alphabet, and --out on stdout or under tmp."""
+    def opt(flag, values):
+        return st.just([]) | values.map(lambda v: [flag, str(v)])
+
+    out = opt("--out", st.sampled_from(["-", tmp / "out.txt", tmp / "no" / "out.txt", tmp]))
+    max_n = st.integers(-1, 3).map(lambda v: ["--max-n", str(v)])  # default is 5
+    k = opt("--k", st.integers(-1, 4))
+    text = st.text(alphabet="wid0123456789^*+(), ", max_size=12)
+    verbs = st.one_of(
+        st.tuples(st.just(["gen"]), max_n, out),
+        st.tuples(st.sampled_from(SUITES + ("all", "bogus")).map(
+            lambda s: ["check", "--suite", s]), max_n, k, out),
+        st.tuples(st.sampled_from(["atoms", "chain-bundle", "idemb-tower"]).map(
+            lambda s: ["counterexample", "--name", s]), k, out),
+        st.tuples(st.just(["ordinal"]), opt("--expr", text), opt("--product", text)),
+        st.tuples(st.sampled_from(COMPLETE_OPS).map(
+            lambda op: ["complete", "--op", op, "--in", str(tmp / "in.json")]), k, out))
+    flags = st.tuples(opt("--format", st.sampled_from(["text", "json", "yaml"])),
+                      opt("--budget", st.integers(-2, 50)),
+                      opt("--seed", st.integers(-1, 3)))
+    junk = st.lists(st.sampled_from(["--bogus", "x", "--k", "--max-n"]), max_size=1)
+    return st.tuples(flags, verbs, junk).map(
+        lambda t: [a for part in (*t[0], *t[1], t[2]) for a in part])
+
+
+IN_DOCS = [DIAMOND_DOC, {"n": 3}, {"n": 2, "leq": [[0, 1], [1, 0]]}]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), doc=st.sampled_from(IN_DOCS))
+def test_arbitrary_argv_exits_cleanly(tmp_path, data, doc):
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    argv = data.draw(argvs(tmp_path))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+    assert rc in (0, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    # exit 3 from unknown verdicts alone writes nothing to stderr
+    if rc == 2 or err.getvalue():
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv
+
+
 @pytest.fixture
 def no_corpus(monkeypatch):
     from posetideals import cli, verification
@@ -317,6 +368,35 @@ def test_check_failure_exit(capsys, monkeypatch):
                         lambda *a, **k: [CheckReport("thm21", "x", "fails")])
     rc, out, _ = run_cli(capsys, "check", "--suite", "thm21")
     assert rc == 1 and "fails" in out
+    # under --suite all a failure outranks an unknown, in either order
+    for mixed in ({"thm31": "fails", "cor23": "unknown"},
+                  {"thm21": "unknown", "acc": "fails"}):
+        monkeypatch.setattr(cli, "run_suite", lambda name, mixed=mixed, **k: [
+            CheckReport(name, "x", mixed.get(name, "holds"))])
+        for fmt in ("text", "json"):
+            rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all")
+            assert rc == 1 and "fails" in out and "unknown" in out
+
+
+def test_check_all_concatenates_every_suite(capsys, tmp_path):
+    for fmt in ("text", "json"):
+        want = ""
+        for suite in SUITES:
+            rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", suite,
+                                 "--max-n", "3")
+            assert rc == 0
+            want += out
+        rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
+                             "--max-n", "3")
+        assert (rc, out) == (0, want)
+        target = tmp_path / f"all.{fmt}"
+        rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
+                             "--max-n", "3", "--out", str(target))
+        assert (rc, out) == (0, "") and target.read_text() == want
+    # lemma51 runs out of a tiny budget outright: the run stops, prints nothing
+    rc, out, err = run_cli(capsys, "--budget", "1", "check", "--suite", "all",
+                           "--max-n", "2")
+    assert (rc, out) == (3, "") and err.startswith("error: ")
 
 
 def test_counterexample_text(capsys):
@@ -363,11 +443,27 @@ def test_ordinal_product(capsys):
     assert out == '{"chains":["w","w1"],"cofinal_chain":false}\n'
 
 
+@pytest.mark.parametrize("argv", [
+    ("counterexample", "--name", "atoms", "--k", "1000000000"),
+    ("counterexample", "--name", "chain-bundle", "--k", "1000000000"),
+    ("counterexample", "--name", "idemb-tower", "--k", "1000000000"),
+    ("check", "--suite", "kurepa", "--k", "100000000"),
+    ("--format", "json", "check", "--suite", "kurepa", "--k", "100000000"),
+], ids=["atoms", "chain-bundle", "idemb-tower", "kurepa-text", "kurepa-json"])
+def test_huge_constructions_exit_3_before_building(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "") and err.startswith("error: ")
+
+
 def test_ordinal_usage_errors(capsys):
     assert run_cli(capsys, "ordinal")[0] == 2
     assert run_cli(capsys, "ordinal", "--expr", "w", "--product", "w")[0] == 2
     assert run_cli(capsys, "ordinal", "--expr", "w^^2")[0] == 2
     assert run_cli(capsys, "ordinal", "--product", "w,zzz")[0] == 2
+    # nested deep enough to overflow the parser (3000) or the renderer (500)
+    for depth in (500, 3000):
+        expr = "id(" + "^".join(["w"] * depth) + ")"
+        assert run_cli(capsys, "ordinal", "--expr", expr)[0] == 2
 
 
 def test_render_poset(capsys, diamond_file):

@@ -27,6 +27,7 @@ from posetideals import (
 from posetideals.ordinals import (
     COF_EMPTY,
     COF_HAS_MAX,
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -141,6 +142,16 @@ def test_parse_examples():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         cnf_parse(bad)
+
+
+def test_parse_bounds_nesting():
+    tower = "^".join(["w"] * MAX_NESTING)
+    assert cnf_str(cnf_parse(tower)).count("w") == MAX_NESTING
+    # one level past the bound, and nestings deep enough to overflow the stack
+    for deep in ("w^" + tower, "id(" + "^".join(["w"] * 3000) + ")",
+                 "(" * 3000 + "w" + ")" * 3000):
+        with pytest.raises(ValueError, match="nested"):
+            cnf_parse(deep)
 
 
 # --- agreement with the block and truncation models ----------------------------

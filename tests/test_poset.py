@@ -10,6 +10,8 @@ from oracles import (
     is_chain_naive,
     is_directed_naive,
     is_downset_naive,
+    least_naive,
+    transitive_closure_naive,
 )
 from posetideals import (
     CapacityExceeded,
@@ -34,11 +36,13 @@ from posetideals.poset import (
     is_chain,
     is_directed,
     is_downset,
+    least_in,
     linear_extension,
     mask_of,
     maximal_elements,
     minimal_elements,
     render_elemset,
+    transitive_closure,
     up_closure,
     validate_up_rows,
 )
@@ -119,13 +123,38 @@ def test_covers_regenerate_the_order(P):
     assert set(hasse_covers(P)) == covers_naive(P)
     # reflexive-transitive closure of the covers gives leq back
     rows = [1 << i for i in range(P.n)]
-    for _ in range(P.n):
-        for i, j in hasse_covers(P):
-            rows[i] |= 1 << j
-        for i in range(P.n):
-            for j in bits(rows[i]):
-                rows[i] |= rows[j]
-    assert tuple(rows) == P.up
+    for i, j in hasse_covers(P):
+        rows[i] |= 1 << j
+    assert tuple(transitive_closure_naive(rows)) == P.up
+
+
+relations = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=150)
+@given(relations)
+def test_transitive_closure_matches_the_pairwise_fixpoint(rows):
+    closed = transitive_closure(rows)
+    assert closed == transitive_closure_naive(rows)
+    # cycles survive the closure; antisymmetry is the validator's check
+    n = len(rows)
+    refl = [row | 1 << i for i, row in enumerate(closed)]
+    cyclic = any(refl[i] >> j & 1 and refl[j] >> i & 1
+                 for i in range(n) for j in range(i + 1, n))
+    if cyclic:
+        with pytest.raises(NotAntisymmetric):
+            validate_up_rows(refl)
+    else:
+        assert validate_up_rows(refl).up == tuple(refl)
+
+
+@settings(max_examples=60)
+@given(posets(5))
+def test_least_in_matches_the_definition(P):
+    for s in range(1 << P.n):
+        assert least_in(P.up, s) == least_naive(P, s)
+        assert least_in(P.down, s) == least_naive(dual(P), s)
 
 
 @settings(max_examples=60)

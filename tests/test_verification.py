@@ -1,5 +1,8 @@
 """Corpus generation and the theorem-shaped check battery."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +10,7 @@ from conftest import antichain, chain, diamond, posets, vee, wedge
 from oracles import all_posets_naive
 from posetideals import (
     CapacityExceeded,
+    Corpus,
     Poset,
     build_atoms_lattice,
     build_chain_bundle,
@@ -164,6 +168,23 @@ def test_idemb_tower():
         build_idemb_tower(diamond(), -1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_atoms_lattice(20_000),         # 20 002 elements
+    lambda: build_chain_bundle(100),             # 5052 elements
+    lambda: build_idemb_tower(diamond(), 20_000),  # 80 006 elements
+])
+def test_named_constructions_check_capacity_first(build):
+    # the size formula is checked before any row or stage is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_kurepa_atoms_check():
     for k in (2, 3, 4):
         r = check_kurepa_atoms(k)
@@ -182,6 +203,22 @@ def test_lemma_5_1_with_chains(corpus4):
     assert reports[0].witness["every_member_directed"] is True
     assert reports[0].witness["all_downsets_ideals"] is True
     assert reports[1].witness["pair_condition"] is True
+
+
+def test_lemma_5_1_join_witness_is_the_least_ideal(monkeypatch):
+    # With the whole poset dropped from every X-generated family, the
+    # diamond's {0,a} and {0,b} lose their join; the witness must name the
+    # least ideal above both, not just some ideal above them.
+    from posetideals import verification
+
+    real = verification.x_down
+    monkeypatch.setattr(verification, "x_down", lambda P, X, **kw: SimpleNamespace(
+        sets=tuple(s for s in real(P, X, **kw).sets if s != P.full_mask)))
+    corpus = Corpus(4, ((), (), (), (), (diamond(),)), "diamond only")
+    reports = check_lemma_5_1(corpus, chains_battery(3), "chains<=3")
+    failure = {"poset": "n4/00", "a": 0b0011, "b": 0b0101, "join": 0b1111}
+    assert [(r.verdict, r.witness) for r in reports[2:]] == [
+        (FAILS, {"pair_condition": True, "failure": failure})] * 2
 
 
 def test_lemma_5_1_with_an_antichain_member(corpus4):
