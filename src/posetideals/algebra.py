@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .completions import FamilyPoset, fdown
-from .morphisms import MonotoneMap, iter_maps, map_kind
+from .morphisms import ISOTONE, MonotoneMap, iter_maps, map_kind
 from .poset import Poset, bits, down_closure, induced, least_in
 
 UPPER = "upper"
@@ -99,21 +99,14 @@ def subsemilattices(S: SemilatticeStructure) -> Iterator[int]:
             yield m
 
 
-def _join_irreducibles(S: SemilatticeStructure) -> list[int]:
-    out = []
+def _join_irreducibles(S: SemilatticeStructure) -> int:
+    """The mask of the elements that are not the join of two elements
+    strictly below them (every minimal element among them)."""
+    out = 0
     for x in range(S.base.n):
-        reducible = False
-        below = S.base.down[x] & ~(1 << x)
-        lows = list(bits(below))
-        for a in range(len(lows)):
-            for b in range(a, len(lows)):
-                if S.join[lows[a]][lows[b]] == x:
-                    reducible = True
-                    break
-            if reducible:
-                break
-        if not reducible:
-            out.append(x)
+        lows = list(bits(S.base.down[x] & ~(1 << x)))
+        if all(S.join[a][b] != x for a in lows for b in lows):
+            out |= 1 << x
     return out
 
 
@@ -132,65 +125,29 @@ def semilattice_homs(S0: SemilatticeStructure, T: SemilatticeStructure,
 
     Images of the join-irreducible elements determine the rest: every
     element of a finite upper semilattice is the join of the irreducibles
-    below it.  The search assigns irreducibles along a linear extension
-    with ascending targets (pruning non-monotone prefixes), extends, and
-    then verifies the join-preservation and surjectivity of the full map,
-    never trusting the generator coverage.  A surjective search with
-    |S0| < |T| returns before assigning anything: an image has at most
-    |S0| points.
+    below it.  iter_maps enumerates the isotone maps from the irreducibles'
+    subposet into T, unbounded; each extends by joins and is then verified
+    for join preservation and surjectivity on the full map, never trusting
+    the generator coverage.  A surjective search with |S0| < |T| returns
+    before searching: an image has at most |S0| points.
     """
     if not (S0.is_upper and T.is_upper):
         raise ValueError("semilattice_homs requires upper semilattices")
     A, B = S0.base, T.base
     if require_surjective and A.n < B.n:
         return
-    if A.n == 0:
-        yield MonotoneMap(A, B, (), map_kind(A, B, ()) or "isotone")
-        return
-    if B.n == 0:
-        return
-    ji = sorted(_join_irreducibles(S0), key=lambda x: (A.down[x].bit_count(), x))
-    ji_below = [[j for j in ji if A.leq(j, x)] for x in range(A.n)]
-    assert all(ji_below[x] for x in range(A.n))
-    assignment: dict[int, int] = {}
-
-    def extend() -> tuple[int, ...] | None:
-        img = []
-        for x in range(A.n):
-            img.append(_fold_join(T, [assignment[j] for j in ji_below[x]]))
-        for x in range(A.n):
-            for y in range(A.n):
-                j = S0.join[x][y]
-                assert j is not None
-                if img[j] != T.join[img[x]][img[y]]:
-                    return None
-        return tuple(img)
-
-    def rec(t: int) -> Iterator[MonotoneMap]:
-        if t == len(ji):
-            img = extend()
-            if img is None:
-                return
-            if require_surjective and len(set(img)) != B.n:
-                return
-            kind = map_kind(A, B, img)
-            assert kind is not None, "join homomorphisms are isotone"
-            yield MonotoneMap(A, B, img, kind)
-            return
-        x = ji[t]
-        for cand in range(B.n):
-            ok = True
-            for t2 in range(t):
-                x2 = ji[t2]
-                if A.leq(x2, x) and not B.leq(assignment[x2], cand):
-                    ok = False
-                    break
-            if ok:
-                assignment[x] = cand
-                yield from rec(t + 1)
-                del assignment[x]
-
-    yield from rec(0)
+    J, ji = induced(A, _join_irreducibles(S0))
+    below = [[k for k, j in enumerate(ji) if A.leq(j, x)] for x in range(A.n)]
+    pairs = [(x, y) for x in range(A.n) for y in range(A.n)]
+    for g in iter_maps(J, B, ISOTONE, budget=None):
+        img = tuple(_fold_join(T, [g[k] for k in ks]) for ks in below)
+        if any(img[S0.join[x][y]] != T.join[img[x]][img[y]] for x, y in pairs):
+            continue
+        if require_surjective and len(set(img)) != B.n:
+            continue
+        kind = map_kind(A, B, img)
+        assert kind is not None, "join homomorphisms are isotone"
+        yield MonotoneMap(A, B, img, kind)
 
 
 def induced_ideal_map(S: Poset, carrier: int, images: Mapping[int, int],
@@ -226,17 +183,17 @@ def check_free_property(P: Poset, battery: Sequence[SemilatticeStructure] | None
                    if s.is_upper]
     F = fdown(P)
     SF = classify(F.order)
+
+    def extension(T: SemilatticeStructure, g) -> tuple[int, ...]:
+        # each member of fdown(P) goes to the join of g over its elements
+        return tuple(_fold_join(T, [g[x] for x in bits(s)]) for s in F.sets)
+
     for T in battery:
-        isotone_maps = list(iter_maps(P, T.base, "isotone"))
+        isotone_maps = list(iter_maps(P, T.base, ISOTONE))
         homs = {h.image for h in semilattice_homs(SF, T)}
-        if P.n == 0:
-            if len(homs) != 1 or len(isotone_maps) != 1:
-                return False
-            continue
         extensions = set()
         for g in isotone_maps:
-            ext = tuple(_fold_join(T, [g[x] for x in bits(F.sets[i])])
-                        for i in range(len(F)))
+            ext = extension(T, g)
             if ext not in homs:
                 return False
             extensions.add(ext)
@@ -244,9 +201,7 @@ def check_free_property(P: Poset, battery: Sequence[SemilatticeStructure] | None
             return False  # not injective
         for h in homs:
             g = tuple(h[F.index(P.down[x])] for x in range(P.n))
-            ext = tuple(_fold_join(T, [g[x] for x in bits(F.sets[i])])
-                        for i in range(len(F)))
-            if ext != h:
+            if extension(T, g) != h:
                 return False  # a homomorphism not induced by any isotone map
         if len(homs) != len(isotone_maps):
             return False

@@ -132,7 +132,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_complete(args, budget: int) -> int:
+def _cmd_complete(args) -> int:
     P = poset_from_json(_read_json(args.inp))
     if args.op == "idpow":
         if args.k > IDPOW_MAX_K:
@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "gen":
             return _cmd_gen(args)
         if args.verb == "complete":
-            return _cmd_complete(args, budget)
+            return _cmd_complete(args)
         if args.verb == "check":
             return _cmd_check(args, budget)
         if args.verb == "counterexample":

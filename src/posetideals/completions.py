@@ -3,11 +3,11 @@
 Every completion here returns a :class:`FamilyPoset`: the base, the member
 sets in ascending bitmask order, and the inclusion order on them as a
 poset of its own (so each completion can be fed back into any operation).
+Each family is ordered by one builder, _inclusion_order, whatever its kind.
 
-Family sizes can explode, so every enumerator takes a cap and raises
-CapacityExceeded on overflow rather than truncating.  An N-set family
-carries an N x N-bit order, so the default cap of 2^14 sets also bounds
-that order at 32 MB.
+Family sizes can explode, so every enumerator raises CapacityExceeded past
+FAMILY_CAP sets rather than truncating.  An N-set family carries an N x
+N-bit order, so the cap of 2^14 sets also bounds that order at 32 MB.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .poset import (
     render_elemset,
 )
 
-DEFAULT_FAMILY_CAP = 1 << 14
+FAMILY_CAP = 1 << 14
+CHAIN_VISIT_BUDGET = 1 << 22
 
 KIND_DOWN = "down"
 KIND_IDEAL = "ideal"
@@ -99,30 +100,43 @@ class _SetLabels(Sequence):
 
 
 def _inclusion_order(base: Poset, sets: tuple[int, ...]) -> Poset:
-    """The inclusion order on ascending masks, comparing every pair: O(N^2).
+    """The inclusion order on ascending masks, rendering set labels on read.
 
-    Labels are set labels over the base, rendered on read.  downsets builds
-    its order from covers instead; every other family is small enough on
-    the corpus (ideals have at most n + 1 members) to order pairwise.
+    Row i holds the members containing sets[i]: the AND, over the elements
+    x of sets[i], of the members containing x (every member when sets[i]
+    is empty).  That is O(sum of |s|) big-int ANDs for N members, not the
+    N^2 comparisons of checking each pair.
     """
+    # bits() is inlined: most families are tiny, and a generator per member
+    # would cost more than the ANDs
+    containing = [0] * base.n
+    member = 1
+    for s in sets:
+        while s:
+            low = s & -s
+            containing[low.bit_length() - 1] |= member
+            s ^= low
+        member <<= 1
+    everyone = member - 1
     rows = []
     for s in sets:
-        row = 0
-        for j, t in enumerate(sets):
-            if s & ~t == 0:
-                row |= 1 << j
+        row = everyone
+        while s:
+            low = s & -s
+            row &= containing[low.bit_length() - 1]
+            s ^= low
         rows.append(row)
     return Poset(len(sets), tuple(rows), _SetLabels(base, sets))
 
 
-def _family(base: Poset, sets, kind: str, cap: int) -> FamilyPoset:
+def _family(base: Poset, sets, kind: str) -> FamilyPoset:
     ordered = tuple(sorted(sets))
-    if len(ordered) > cap:
-        raise CapacityExceeded(f"family of {len(ordered)} sets exceeds cap {cap}")
+    if len(ordered) > FAMILY_CAP:
+        raise CapacityExceeded(f"family of {len(ordered)} sets exceeds cap {FAMILY_CAP}")
     return FamilyPoset(base, ordered, _inclusion_order(base, ordered), kind)
 
 
-def downset_masks(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> list[int]:
+def downset_masks(P: Poset) -> list[int]:
     """The masks of all downsets of P, ascending, without their order.
 
     Walks a linear extension deciding membership element by element; an
@@ -133,49 +147,30 @@ def downset_masks(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> list[int]:
     for e in linear_extension(P):
         below = P.down[e]
         out += [m | 1 << e for m in out if below & ~m == 1 << e]
-        if len(out) > cap:
-            raise CapacityExceeded(f"downset family exceeds cap {cap}")
+        if len(out) > FAMILY_CAP:
+            raise CapacityExceeded(f"downset family exceeds cap {FAMILY_CAP}")
     out.sort()
     return out
 
 
-def downsets(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> FamilyPoset:
-    """All downsets of P, including the empty set and P itself.
-
-    The inclusion order is built from covers, not pairs: t contains s
-    exactly when t is reached from s by adding one element at a time, each
-    addition a downset.  Rows fill in descending mask order, row s being
-    bit s OR the rows of every s + {x} with x minimal outside s: O(N*n)
-    big-int ORs for N downsets instead of O(N^2) comparisons.
-    """
-    sets = tuple(downset_masks(P, cap))
-    index = {s: i for i, s in enumerate(sets)}
-    rows = [0] * len(sets)
-    for i in range(len(sets) - 1, -1, -1):
-        s = sets[i]
-        row = 1 << i
-        for x in bits(P.full_mask & ~s):
-            if P.down[x] & ~s == 1 << x:
-                row |= rows[index[s | 1 << x]]
-        rows[i] = row
-    order = Poset(len(sets), tuple(rows), _SetLabels(P, sets))
-    return FamilyPoset(P, sets, order, KIND_DOWN)
+def downsets(P: Poset) -> FamilyPoset:
+    """All downsets of P, including the empty set and P itself."""
+    return _family(P, downset_masks(P), KIND_DOWN)
 
 
-def ideals(P: Poset, include_empty: bool, cap: int = DEFAULT_FAMILY_CAP) -> FamilyPoset:
+def ideals(P: Poset, include_empty: bool) -> FamilyPoset:
     """Upward directed downsets.  The empty set is directed; the flag says
     whether to keep it.
 
-    Filters the downset masks (so the cap bounds them too) and orders the
-    few survivors pairwise; on a finite poset they number at most n + 1.
+    Filters the downset masks, so the cap bounds them too; on a finite
+    poset the survivors number at most n + 1.
     """
-    keep = [s for s in downset_masks(P, cap) if (s or include_empty) and is_directed(P, s)]
+    keep = [s for s in downset_masks(P) if (s or include_empty) and is_directed(P, s)]
     kind = KIND_IDEAL if include_empty else KIND_NONEMPTY_IDEAL
-    return _family(P, keep, kind, cap)
+    return _family(P, keep, kind)
 
 
-def chain_ideals(P: Poset, include_empty: bool, cap: int = DEFAULT_FAMILY_CAP,
-                 visit_budget: int = 1 << 22) -> FamilyPoset:
+def chain_ideals(P: Poset, include_empty: bool) -> FamilyPoset:
     """Downsets generated by chains: down-closures of totally ordered subsets.
 
     Enumerated from the definition (all chain subsets, depth-first in index
@@ -194,20 +189,20 @@ def chain_ideals(P: Poset, include_empty: bool, cap: int = DEFAULT_FAMILY_CAP,
             if cmask & ~comp[j]:
                 continue
             visits += 1
-            if visits > visit_budget:
-                raise CapacityExceeded(f"chain enumeration exceeded {visit_budget} visits")
+            if visits > CHAIN_VISIT_BUDGET:
+                raise CapacityExceeded(f"chain enumeration exceeded {CHAIN_VISIT_BUDGET} visits")
             cl = closure | P.down[j]
             found.add(cl)
-            if len(found) > cap:
-                raise CapacityExceeded(f"chain ideal family exceeds cap {cap}")
+            if len(found) > FAMILY_CAP:
+                raise CapacityExceeded(f"chain ideal family exceeds cap {FAMILY_CAP}")
             rec(cmask | (1 << j), cl, j + 1)
 
     rec(0, 0, 0)
     kind = KIND_CHAIN_IDEAL if include_empty else KIND_NONEMPTY_CHAIN_IDEAL
-    return _family(P, found, kind, cap)
+    return _family(P, found, kind)
 
 
-def fdown(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> FamilyPoset:
+def fdown(P: Poset) -> FamilyPoset:
     """Finite nonempty unions of principal downsets.
 
     This is the free upper semilattice on P: the inclusion order has all
@@ -225,20 +220,20 @@ def fdown(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> FamilyPoset:
                 if u not in family:
                     family.add(u)
                     fresh.add(u)
-                    if len(family) > cap:
-                        raise CapacityExceeded(f"fdown family exceeds cap {cap}")
+                    if len(family) > FAMILY_CAP:
+                        raise CapacityExceeded(f"fdown family exceeds cap {FAMILY_CAP}")
         frontier = fresh
-    return _family(P, family, KIND_FDOWN, cap)
+    return _family(P, family, KIND_FDOWN)
 
 
-def iterate_id(P: Poset, k: int, cap: int = DEFAULT_FAMILY_CAP) -> Poset:
+def iterate_id(P: Poset, k: int) -> Poset:
     """Apply the nonempty-ideal completion k times, re-basing each stage;
     returns the final stage's order poset.  k = 0 returns P itself."""
     if k < 0:
         raise ValueError("k must be >= 0")
     cur = P
     for _ in range(k):
-        cur = ideals(cur, include_empty=False, cap=cap).order
+        cur = ideals(cur, include_empty=False).order
     return cur
 
 
@@ -255,7 +250,7 @@ def principal_embedding(P: Poset) -> MonotoneMap:
     return MonotoneMap(P, fam.order, image, kind)
 
 
-def compact_elements(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> int:
+def compact_elements(P: Poset) -> int:
     """Elements x such that every nonempty directed set with a least upper
     bound above x already contains a member above x.
 
@@ -263,12 +258,12 @@ def compact_elements(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> int:
     upper bound; subsets without one impose no constraint.  The directed
     sets quantified over are nonempty: otherwise a least element, whose
     empty-set supremum it is, could never be compact.  The scan covers all
-    2^n subsets and shares the family cap, so the default allows n <= 14.
+    2^n subsets and shares the family cap, so it allows n <= 14.
     """
     if P.n == 0:
         return 0
-    if (1 << P.n) > cap:
-        raise CapacityExceeded(f"2^{P.n} subsets exceeds cap {cap}")
+    if (1 << P.n) > FAMILY_CAP:
+        raise CapacityExceeded(f"2^{P.n} subsets exceeds cap {FAMILY_CAP}")
     candidates = P.full_mask
     lub_memo: dict[int, int | None] = {}
     for s in range(1, 1 << P.n):
@@ -292,25 +287,24 @@ def compact_elements(P: Poset, cap: int = DEFAULT_FAMILY_CAP) -> int:
     return candidates
 
 
-def n_compact_elements(P: Poset, n: int, cap: int = DEFAULT_FAMILY_CAP) -> int:
+def n_compact_elements(P: Poset, n: int) -> int:
     """Iterate compact_elements on the induced subposet n times (n >= 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     carrier = P.full_mask
     for _ in range(n):
         sub, elems = induced(P, carrier)
-        c = compact_elements(sub, cap)
+        c = compact_elements(sub)
         carrier = mask_of(elems[i] for i in bits(c))
     return carrier
 
 
-def least_compact_above(P: Poset, a: int, cap: int = DEFAULT_FAMILY_CAP) -> int | None:
+def least_compact_above(P: Poset, a: int) -> int | None:
     """The minimum of the compact elements above a, when that set has one."""
-    return least_in(P.up, compact_elements(P, cap) & P.up[a])
+    return least_in(P.up, compact_elements(P) & P.up[a])
 
 
-def x_down(P: Poset, X: Sequence[Poset], cap: int = DEFAULT_FAMILY_CAP,
-           budget: int | None = None) -> FamilyPoset:
+def x_down(P: Poset, X: Sequence[Poset], budget: int | None = None) -> FamilyPoset:
     """Downsets of P arising as down-closures of isotone images of members
     of X.  The maps are enumerated by backtracking, one source poset at a
     time; distinct maps with the same closure collapse."""
@@ -321,6 +315,6 @@ def x_down(P: Poset, X: Sequence[Poset], cap: int = DEFAULT_FAMILY_CAP,
             for q in range(Q.n):
                 cl |= P.down[img[q]]
             found.add(cl)
-            if len(found) > cap:
-                raise CapacityExceeded(f"x_down family exceeds cap {cap}")
-    return _family(P, found, KIND_XDOWN, cap)
+            if len(found) > FAMILY_CAP:
+                raise CapacityExceeded(f"x_down family exceeds cap {FAMILY_CAP}")
+    return _family(P, found, KIND_XDOWN)

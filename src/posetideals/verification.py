@@ -347,8 +347,18 @@ def check_lemma_5_1(corpus: Corpus, X: list[Poset], x_name: str = "X",
           joins in every upper semilattice;
       [3] both hypotheses again, closure under both in every lattice.
     Implications with a false hypothesis report vacuous, with the measured
-    sub-facts in the witness payload.
+    sub-facts in the witness payload.  All four are unknown when a map
+    search runs out of budget.
     """
+    try:
+        return _lemma_5_1_reports(corpus, X, x_name, budget)
+    except BudgetExceeded:
+        return [CheckReport(f"lemma51.{c}", x_name, UNKNOWN, {"budget": budget})
+                for c in ("i", "iia_to_iib", "i_iia_to_iic", "i_iia_to_iid")]
+
+
+def _lemma_5_1_reports(corpus: Corpus, X: list[Poset], x_name: str,
+                       budget: int | None) -> list[CheckReport]:
     ib = all(is_directed(Q, Q.full_mask) for Q in X)
 
     ia_witness = None

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -17,7 +18,7 @@ from posetideals import iterate_id
 from posetideals.cli import COMPLETE_OPS, IDPOW_MAX_K, main
 from posetideals.poset import MAX_ELEMENTS
 from posetideals.serialize import poset_from_json, poset_to_json
-from posetideals.verification import SUITES
+from posetideals.verification import SUITES, generate_corpus
 
 DIAMOND_DOC = {"n": 4, "leq": [[0, 1], [0, 2], [1, 3], [2, 3]]}
 
@@ -393,10 +394,60 @@ def test_check_all_concatenates_every_suite(capsys, tmp_path):
         rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
                              "--max-n", "3", "--out", str(target))
         assert (rc, out) == (0, "") and target.read_text() == want
-    # lemma51 runs out of a tiny budget outright: the run stops, prints nothing
-    rc, out, err = run_cli(capsys, "--budget", "1", "check", "--suite", "all",
+
+
+LEMMA51_UNKNOWN = [
+    {"check": f"lemma51.{c}", "instance": "chains<=3", "verdict": "unknown",
+     "witness": {"budget": 1}}
+    for c in ("i", "iia_to_iib", "i_iia_to_iic", "i_iia_to_iid")]
+
+
+def test_lemma51_reports_unknown_on_a_spent_budget(capsys):
+    # a spent budget is an unknown verdict, not an error that hides the
+    # other suites' reports
+    rc, out, err = run_cli(capsys, "--budget", "1", "--format", "json", "check",
+                           "--suite", "lemma51", "--max-n", "2")
+    assert (rc, err) == (3, "")
+    assert [json.loads(line) for line in out.splitlines()] == LEMMA51_UNKNOWN
+    rc, out, err = run_cli(capsys, "--budget", "1", "check", "--suite", "lemma51",
                            "--max-n", "2")
-    assert (rc, out) == (3, "") and err.startswith("error: ")
+    assert (rc, err) == (3, "") and out.endswith("4 instances: 4 unknown\n")
+    for fmt in ("text", "json"):
+        want = ""
+        for suite in SUITES:
+            _, out, _ = run_cli(capsys, "--budget", "1", "--format", fmt, "check",
+                                "--suite", suite, "--max-n", "2")
+            want += out
+        rc, out, err = run_cli(capsys, "--budget", "1", "--format", fmt, "check",
+                               "--suite", "all", "--max-n", "2")
+        assert (rc, out, err) == (3, want, "")
+        assert "lemma51.i_iia_to_iid" in out and "kurepa" in out
+
+
+# sha256 of stdout, pinned so that a refactor which changes any byte of it
+# fails here; a deliberate change of output updates these digests.
+CHECK_ALL_N5_SHA256 = {
+    "text": "3139f804619052cdc2a29a95a25f26694dc05abc9aa20fa017b218f0cb3e1f4f",
+    "json": "53bf23d3811e7c15add00348ef9a2bfce283eefa0fdfb63750bc24be0f093791",
+}
+COMPLETE_N4_SHA256 = "83ef0503aac663905b6f740435925edbfa6198d223dcdd47cd640ab97c646681"
+
+
+def test_outputs_match_their_pinned_digests(capsys, monkeypatch):
+    for fmt, digest in CHECK_ALL_N5_SHA256.items():
+        rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
+                             "--max-n", "5")
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    # every family operator on every n<=4 class, in corpus then operator order
+    h = hashlib.sha256()
+    for _, P in generate_corpus(4).items():
+        doc = json.dumps(poset_to_json(P))
+        for op in ("down", "id", "Id", "chid", "chId", "fdown"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            rc, out, _ = run_cli(capsys, "complete", "--op", op)
+            assert rc == 0
+            h.update(out.encode())
+    assert h.hexdigest() == COMPLETE_N4_SHA256
 
 
 def test_counterexample_text(capsys):

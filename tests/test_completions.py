@@ -30,8 +30,10 @@ from posetideals import (
     principal_embedding,
     x_down,
 )
+from posetideals import completions
 from posetideals.morphisms import ISOMORPHISM, are_isomorphic
 from posetideals.poset import adjoin_bounds, is_downset, render_elemset
+from posetideals.verification import chains_battery
 
 
 @settings(max_examples=60)
@@ -98,9 +100,16 @@ def corpus6_and_relabelings():
 
 
 def test_downset_rows_match_the_pairwise_order():
+    # every family kind, all ordered by the one builder
+    X = chains_battery(3)
     for P in corpus6_and_relabelings():
-        fam = downsets(P)
-        assert fam.order.up == inclusion_rows_pairwise(fam.sets)
+        for fam in (downsets(P), ideals(P, True), ideals(P, False),
+                    chain_ideals(P, True), chain_ideals(P, False), fdown(P),
+                    x_down(P, X)):
+            assert fam.order.up == inclusion_rows_pairwise(fam.sets)
+    fam = fdown(antichain(10))
+    assert len(fam) == 1023
+    assert fam.order.up == inclusion_rows_pairwise(fam.sets)
 
 
 def eager(Q: Poset) -> Poset:
@@ -127,11 +136,13 @@ def test_lazy_labels_read_like_rendered_strings(corpus4):
             render_elemset(eager(stage1), s) for s in stage2.sets)
 
 
-def test_family_cap():
+def test_family_cap(monkeypatch):
+    monkeypatch.setattr(completions, "FAMILY_CAP", 10)
     with pytest.raises(CapacityExceeded):
-        downsets(antichain(5), cap=10)
+        downsets(antichain(5))
+    monkeypatch.setattr(completions, "FAMILY_CAP", 3)
     with pytest.raises(CapacityExceeded):
-        fdown(antichain(5), cap=3)
+        fdown(antichain(5))
 
 
 @settings(max_examples=40)
