@@ -209,20 +209,13 @@ def fdown(P: Poset) -> FamilyPoset:
     binary joins (unions) and the principal downsets generate.  Empty P
     gives the empty family.
     """
-    principal = {P.down[x] for x in range(P.n)}
-    family = set(principal)
-    frontier = set(principal)
-    while frontier:
-        fresh = set()
-        for s in frontier:
-            for x in range(P.n):
-                u = s | P.down[x]
-                if u not in family:
-                    family.add(u)
-                    fresh.add(u)
-                    if len(family) > FAMILY_CAP:
-                        raise CapacityExceeded(f"fdown family exceeds cap {FAMILY_CAP}")
-        frontier = fresh
+    # fold in one principal downset at a time; 0, the empty union, goes last
+    family = {0}
+    for x in range(P.n):
+        family |= {s | P.down[x] for s in family}
+        if len(family) > FAMILY_CAP + 1:
+            raise CapacityExceeded(f"fdown family exceeds cap {FAMILY_CAP}")
+    family.discard(0)
     return _family(P, family, KIND_FDOWN)
 
 

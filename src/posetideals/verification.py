@@ -16,6 +16,7 @@ from itertools import product
 
 from .algebra import classify, semilattice_homs, subsemilattices, substructure
 from .completions import (
+    FamilyPoset,
     chain_ideals,
     downset_masks,
     downsets,
@@ -199,8 +200,7 @@ def check_corollary_2_3_hypothesis(P: Poset, instance: str = "adhoc",
 
 
 def check_corollary_3_2(P: Poset, instance: str = "adhoc",
-                        budget: int | None = DEFAULT_BUDGET,
-                        exhaustive: bool | None = None) -> CheckReport:
+                        budget: int | None = DEFAULT_BUDGET) -> CheckReport:
     """No isotone map from any subset of P onto all downsets of P.
 
     The counting argument (|Down(P)| > |P| >= |subset|) always applies; on
@@ -208,8 +208,7 @@ def check_corollary_3_2(P: Poset, instance: str = "adhoc",
     """
     D = downsets(P)
     counting_ok = len(D) >= P.n + 1
-    if exhaustive is None:
-        exhaustive = P.n <= 4
+    exhaustive = P.n <= 4
     if exhaustive:
         for carrier in range(1 << P.n):
             S0, _ = induced(P, carrier)
@@ -229,12 +228,12 @@ def check_corollary_3_2(P: Poset, instance: str = "adhoc",
 
 def check_acc(P: Poset, instance: str = "adhoc") -> CheckReport:
     """Finite posets satisfy the ascending chain condition, so the
-    principal-downset map is an isomorphism onto the nonempty ideals and
-    iterating the completion goes nowhere new."""
+    principal-downset map is an isomorphism onto the nonempty ideals, the
+    first stage, and iterating the completion from there goes nowhere new."""
     emb = principal_embedding(P)
     if emb.kind != ISOMORPHISM:
         return CheckReport("acc", instance, FAILS, {"kind": emb.kind})
-    if not are_isomorphic(iterate_id(P, 3), P):
+    if not are_isomorphic(iterate_id(emb.target, 2), P):
         return CheckReport("acc", instance, FAILS, {"stage": 3})
     return CheckReport("acc", instance, HOLDS)
 
@@ -325,10 +324,7 @@ def _cofinal_image_exists(R: Poset, Q: Poset, Qp: Poset,
                           budget: int | None) -> bool:
     prod = direct_product(Q, Qp)
     for img in iter_maps(R, prod, ISOTONE, budget=budget):
-        image_mask = 0
-        for v in img:
-            image_mask |= 1 << v
-        if down_closure(prod, image_mask) == prod.full_mask:
+        if down_closure(prod, mask_of(img)) == prod.full_mask:
             return True
     return False
 
@@ -349,6 +345,11 @@ def check_lemma_5_1(corpus: Corpus, X: list[Poset], x_name: str = "X",
     Implications with a false hypothesis report vacuous, with the measured
     sub-facts in the witness payload.  All four are unknown when a map
     search runs out of budget.
+
+    One walk serves all four.  Each corpus poset is classified once; a
+    poset is searched by x_down (and an upper semilattice completed to its
+    ideals) at most once, only while some report is still open on it, as
+    checking each report alone would.  Nothing is kept between posets.
     """
     try:
         return _lemma_5_1_reports(corpus, X, x_name, budget)
@@ -357,62 +358,62 @@ def check_lemma_5_1(corpus: Corpus, X: list[Poset], x_name: str = "X",
                 for c in ("i", "iia_to_iib", "i_iia_to_iic", "i_iia_to_iid")]
 
 
+def _pair_failure(iid: str, XD: tuple[int, ...], Id: FamilyPoset | None,
+                  want_meet: bool) -> dict | None:
+    """The first pair a, b of XD whose meet (when want_meet) or least ideal
+    above a | b (when the ideal family Id is given) is missing from XD."""
+    members = set(XD)
+    for a in XD:
+        for b in XD:
+            if want_meet and (a & b) not in members:
+                return {"poset": iid, "a": a, "b": b, "meet": a & b}
+            if Id is not None:
+                t = a | b
+                m = least_in(Id.order.up, mask_of(
+                    i for i, d in enumerate(Id.sets) if t & ~d == 0))
+                j = None if m is None else Id.sets[m]
+                if j is None or j not in members:
+                    return {"poset": iid, "a": a, "b": b, "join": j}
+    return None
+
+
 def _lemma_5_1_reports(corpus: Corpus, X: list[Poset], x_name: str,
                        budget: int | None) -> list[CheckReport]:
     ib = all(is_directed(Q, Q.full_mask) for Q in X)
+    iia_witness = next(({"pair": (Q.up, Qp.up)} for Q, Qp in product(X, X)
+                        if not any(_cofinal_image_exists(R, Q, Qp, budget) for R in X)),
+                       None)
+    iia = iia_witness is None
+    joins = iia and ib
 
-    ia_witness = None
-    targets = [(iid, P) for iid, P in corpus.items()]
-    targets.extend((f"member/{j}", Q) for j, Q in enumerate(X))
-    for iid, P in targets:
-        XD = x_down(P, X, budget=budget)
-        for d in XD.sets:
-            if not is_directed(P, d):
-                ia_witness = {"poset": iid, "downset": d}
-                break
-        if ia_witness:
-            break
+    ia_witness = meet_failure = join_failure = both_failure = None
+    targets = [(iid, P, True) for iid, P in corpus.items()]
+    # the members of X come last, for [0] alone
+    targets.extend((f"member/{j}", Q, False) for j, Q in enumerate(X))
+    for iid, P, in_corpus in targets:
+        S = classify(P) if in_corpus else None
+        want_meet = S and S.is_lower and meet_failure is None
+        want_join = S and joins and S.is_upper and join_failure is None
+        want_both = S and joins and S.is_lattice and both_failure is None
+        if not (ia_witness is None or want_meet or want_join or want_both):
+            continue
+        XD = x_down(P, X, budget=budget).sets
+        if ia_witness is None:
+            ia_witness = next(({"poset": iid, "downset": d} for d in XD
+                               if not is_directed(P, d)), None)
+        Id = ideals(P, include_empty=True) if want_join or want_both else None
+        if want_meet:
+            meet_failure = _pair_failure(iid, XD, None, True)
+        if want_join:
+            join_failure = _pair_failure(iid, XD, Id, False)
+        if want_both:
+            both_failure = _pair_failure(iid, XD, Id, True)
+
     ia = ia_witness is None
-
-    iia = True
-    iia_witness = None
-    for Q, Qp in product(X, X):
-        if not any(_cofinal_image_exists(R, Q, Qp, budget) for R in X):
-            iia = False
-            iia_witness = {"pair": (Q.up, Qp.up)}
-            break
-
-    def closure_failure(want_meet: bool, want_join: bool, structure_pred) -> dict | None:
-        for iid, P in corpus.items():
-            S = classify(P)
-            if not structure_pred(S):
-                continue
-            XD = set(x_down(P, X, budget=budget).sets)
-            fam = sorted(XD)
-            if want_join:
-                Id = ideals(P, include_empty=True)
-            for a in fam:
-                for b in fam:
-                    if want_meet and (a & b) not in XD:
-                        return {"poset": iid, "a": a, "b": b, "meet": a & b}
-                    if want_join:
-                        # the least ideal containing a | b, if there is one
-                        t = a | b
-                        m = least_in(Id.order.up, mask_of(
-                            i for i, d in enumerate(Id.sets) if t & ~d == 0))
-                        j = None if m is None else Id.sets[m]
-                        if j is None or j not in XD:
-                            return {"poset": iid, "a": a, "b": b, "join": j}
-        return None
-
-    reports = []
-    eq_ok = ia == ib
-    reports.append(CheckReport(
-        "lemma51.i", x_name, HOLDS if eq_ok else FAILS,
+    reports = [CheckReport(
+        "lemma51.i", x_name, HOLDS if ia == ib else FAILS,
         {"every_member_directed": ib, "all_downsets_ideals": ia,
-         "ideal_failure": ia_witness}))
-
-    meet_failure = closure_failure(True, False, lambda S: S.is_lower)
+         "ideal_failure": ia_witness})]
     if not iia:
         # the implication is vacuous, but whether the consequent held
         # anyway is worth recording: it can
@@ -423,18 +424,14 @@ def _lemma_5_1_reports(corpus: Corpus, X: list[Poset], x_name: str,
         reports.append(CheckReport("lemma51.iia_to_iib", x_name,
                                    HOLDS if meet_failure is None else FAILS,
                                    {"pair_condition": True, "failure": meet_failure}))
-
-    for name, want_meet, want_join, pred in (
-        ("lemma51.i_iia_to_iic", False, True, lambda S: S.is_upper),
-        ("lemma51.i_iia_to_iid", True, True, lambda S: S.is_lattice),
-    ):
-        if not (iia and ib):
+    for name, w in (("lemma51.i_iia_to_iic", join_failure),
+                    ("lemma51.i_iia_to_iid", both_failure)):
+        if joins:
+            reports.append(CheckReport(name, x_name, HOLDS if w is None else FAILS,
+                                       {"pair_condition": True, "failure": w}))
+        else:
             reports.append(CheckReport(name, x_name, VACUOUS,
                                        {"pair_condition": iia, "directed": ib}))
-            continue
-        w = closure_failure(want_meet, want_join, pred)
-        reports.append(CheckReport(name, x_name, HOLDS if w is None else FAILS,
-                                   {"pair_condition": True, "failure": w}))
     return reports
 
 

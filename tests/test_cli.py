@@ -426,17 +426,19 @@ def test_lemma51_reports_unknown_on_a_spent_budget(capsys):
 
 # sha256 of stdout, pinned so that a refactor which changes any byte of it
 # fails here; a deliberate change of output updates these digests.
-CHECK_ALL_N5_SHA256 = {
-    "text": "3139f804619052cdc2a29a95a25f26694dc05abc9aa20fa017b218f0cb3e1f4f",
-    "json": "53bf23d3811e7c15add00348ef9a2bfce283eefa0fdfb63750bc24be0f093791",
+CHECK_ALL_SHA256 = {
+    ("5", "text"): "3139f804619052cdc2a29a95a25f26694dc05abc9aa20fa017b218f0cb3e1f4f",
+    ("5", "json"): "53bf23d3811e7c15add00348ef9a2bfce283eefa0fdfb63750bc24be0f093791",
+    ("6", "text"): "92c536b0a0f6d055fc7eab501296f48c4caba757aaa85d56b9fd5d2043cbb28b",
+    ("6", "json"): "a4b81d1566d30a013835259d0eba340161805d7f96c92e0f3b5291fae21268bc",
 }
 COMPLETE_N4_SHA256 = "83ef0503aac663905b6f740435925edbfa6198d223dcdd47cd640ab97c646681"
 
 
 def test_outputs_match_their_pinned_digests(capsys, monkeypatch):
-    for fmt, digest in CHECK_ALL_N5_SHA256.items():
+    for (max_n, fmt), digest in CHECK_ALL_SHA256.items():
         rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
-                             "--max-n", "5")
+                             "--max-n", max_n)
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
     # every family operator on every n<=4 class, in corpus then operator order
     h = hashlib.sha256()

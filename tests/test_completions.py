@@ -143,6 +143,13 @@ def test_family_cap(monkeypatch):
     monkeypatch.setattr(completions, "FAMILY_CAP", 3)
     with pytest.raises(CapacityExceeded):
         fdown(antichain(5))
+    # the cap counts members: three points have 7 nonempty unions, and the
+    # empty one is not a member
+    monkeypatch.setattr(completions, "FAMILY_CAP", 7)
+    assert len(fdown(antichain(3))) == 7
+    monkeypatch.setattr(completions, "FAMILY_CAP", 6)
+    with pytest.raises(CapacityExceeded):
+        fdown(antichain(3))
 
 
 @settings(max_examples=40)

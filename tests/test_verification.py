@@ -111,7 +111,8 @@ def test_corollary_3_2_check():
     assert r.verdict == HOLDS and r.witness == {"downsets": 6, "exhaustive": True}
     r5 = check_corollary_3_2(chain(5))
     assert r5.verdict == HOLDS and r5.witness["exhaustive"] is False
-    assert check_corollary_3_2(chain(5), exhaustive=True).verdict == HOLDS
+    # the map search runs up to four elements and must agree with the count
+    assert check_corollary_3_2(chain(4)).witness == {"downsets": 5, "exhaustive": True}
 
 
 def test_acc_check(corpus4):
@@ -205,20 +206,77 @@ def test_lemma_5_1_with_chains(corpus4):
     assert reports[1].witness["pair_condition"] is True
 
 
-def test_lemma_5_1_join_witness_is_the_least_ideal(monkeypatch):
-    # With the whole poset dropped from every X-generated family, the
-    # diamond's {0,a} and {0,b} lose their join; the witness must name the
-    # least ideal above both, not just some ideal above them.
+def _diamond_lemma_5_1(monkeypatch, dropped):
+    # check_lemma_5_1 on a corpus of the diamond alone, with the downsets of
+    # x_down that dropped(P) names taken out of every X-generated family
     from posetideals import verification
 
     real = verification.x_down
     monkeypatch.setattr(verification, "x_down", lambda P, X, **kw: SimpleNamespace(
-        sets=tuple(s for s in real(P, X, **kw).sets if s != P.full_mask)))
+        sets=tuple(s for s in real(P, X, **kw).sets if s not in dropped(P))))
     corpus = Corpus(4, ((), (), (), (), (diamond(),)), "diamond only")
-    reports = check_lemma_5_1(corpus, chains_battery(3), "chains<=3")
+    return check_lemma_5_1(corpus, chains_battery(3), "chains<=3")
+
+
+def test_lemma_5_1_join_witness_is_the_least_ideal(monkeypatch):
+    # With the whole poset dropped from every X-generated family, the
+    # diamond's {0,a} and {0,b} lose their join; the witness must name the
+    # least ideal above both, not just some ideal above them.
+    reports = _diamond_lemma_5_1(monkeypatch, lambda P: {P.full_mask})
     failure = {"poset": "n4/00", "a": 0b0011, "b": 0b0101, "join": 0b1111}
     assert [(r.verdict, r.witness) for r in reports[2:]] == [
         (FAILS, {"pair_condition": True, "failure": failure})] * 2
+
+
+def test_lemma_5_1_meet_witness(monkeypatch):
+    # Without {0}, the diamond's {0,a} and {0,b} lose their meet, while
+    # their join, the whole poset, stays.
+    reports = _diamond_lemma_5_1(monkeypatch, lambda P: {P.down[0]})
+    failure = {"poset": "n4/00", "a": 0b0011, "b": 0b0101, "meet": 0b0001}
+    assert [(r.verdict, r.witness) for r in reports[1:]] == [
+        (FAILS, {"pair_condition": True, "failure": failure}),
+        (HOLDS, {"pair_condition": True, "failure": None}),
+        (FAILS, {"pair_condition": True, "failure": failure})]
+
+
+def test_lemma_5_1_meet_is_checked_before_join(monkeypatch):
+    # Without {0} and the whole poset, the pair {0,a}, {0,b} loses both its
+    # meet and its join; the lattice report names the meet, checked first.
+    reports = _diamond_lemma_5_1(monkeypatch, lambda P: {P.down[0], P.full_mask})
+    pair = {"poset": "n4/00", "a": 0b0011, "b": 0b0101}
+    assert [(r.verdict, r.witness["failure"]) for r in reports[1:]] == [
+        (FAILS, {**pair, "meet": 0b0001}),
+        (FAILS, {**pair, "join": 0b1111}),
+        (FAILS, {**pair, "meet": 0b0001})]
+
+
+def test_lemma_5_1_and_acc_compute_each_structure_once(monkeypatch, corpus5):
+    # one x_down search per corpus poset and member, one classify per corpus
+    # poset and one ideal family per upper semilattice; acc builds each of
+    # its three ideal families once
+    from posetideals import completions, verification
+
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("x_down", "classify", "ideals"):
+        count(verification, name)
+    reports = check_lemma_5_1(corpus5, chains_battery(3))
+    assert all(r.verdict == HOLDS for r in reports)
+    assert calls == {"x_down": 91, "classify": 88, "ideals": 25}
+
+    calls.clear()
+    count(completions, "ideals")
+    for iid, P in corpus5.items():
+        assert check_acc(P, iid).verdict == HOLDS
+    assert calls == {"ideals": 3 * 88}
 
 
 def test_lemma_5_1_with_an_antichain_member(corpus4):
@@ -228,7 +286,9 @@ def test_lemma_5_1_with_an_antichain_member(corpus4):
     assert eq.verdict == HOLDS  # both sides of the equivalence go false
     assert eq.witness["every_member_directed"] is False
     assert eq.witness["all_downsets_ideals"] is False
-    assert eq.witness["ideal_failure"] is not None
+    # n2/00 is the two-element antichain: the antichain member maps onto it,
+    # and its whole carrier, a downset, is not directed
+    assert eq.witness["ideal_failure"] == {"poset": "n2/00", "downset": 0b11}
     pairs = reports[1]
     assert pairs.verdict == VACUOUS
     assert pairs.witness["pair_condition"] is False
