@@ -18,6 +18,7 @@ from .poset import (
     down_closure,
     linear_extension,
     mask_of,
+    previous_twins,
     refine_colours,
     render_elemset,
 )
@@ -227,12 +228,19 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     element most significant.  Both strings are kept up to date for every
     unplaced element as the prefix grows, so each candidate costs O(1),
     and codes of equal t order exactly like the 2t-bit tuples they pack.
+
+    An element is tried only once its previous twin (previous_twins) is
+    placed.  Swapping two unplaced twins is an automorphism fixing the
+    prefix, so a skipped subtree yields the same codes as a kept one whose
+    certificate is lexicographically smaller: the minimum and its least
+    certificate are unchanged.
     """
     n = P.n
     if n == 0:
         return Poset(0, (), None), ()
     rel = P.up
     colours, _ = refine_colours(P)
+    twin = previous_twins(P)
     slots = [[old for old in range(n) if colours[old] == c] for c in sorted(colours)]
     best: list[int] = []
     best_perm: tuple[int, ...] | None = None
@@ -242,7 +250,7 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     up = [0] * n
     down = [0] * n
 
-    def rec(tight: bool) -> None:
+    def rec(tight: bool, placed: int) -> None:
         # tight: the prefix codes equal best[:t]; otherwise they are less
         nonlocal best, best_perm
         t = len(perm)
@@ -252,7 +260,7 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
                 best_perm = tuple(perm)
             return
         for old in slots[t]:
-            if used[old]:
+            if used[old] or twin[old] & ~placed:
                 continue
             code = up[old] << t | down[old]
             if tight and code > best[t]:
@@ -265,7 +273,7 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
                 if not used[u]:
                     up[u] = up[u] << 1 | rel[u] >> old & 1
                     down[u] = down[u] << 1 | row >> u & 1
-            rec(tight and code == best[t])
+            rec(tight and code == best[t], placed | 1 << old)
             for u in range(n):
                 if not used[u]:
                     up[u] >>= 1
@@ -276,14 +284,16 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
             # a leaf below either matched best or replaced it
             tight = True
 
-    rec(False)
+    rec(False, 0)
     assert best_perm is not None
+    new_bit = [0] * n
+    for new, old in enumerate(best_perm):
+        new_bit[old] = 1 << new
     rows = []
-    for i in range(n):
+    for old in best_perm:
         row = 0
-        for j in range(n):
-            if P.leq(best_perm[i], best_perm[j]):
-                row |= 1 << j
+        for j in bits(rel[old]):
+            row |= new_bit[j]
         rows.append(row)
     return Poset(n, tuple(rows), None), best_perm
 

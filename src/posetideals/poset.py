@@ -374,6 +374,23 @@ def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
     return colours, rounds
 
 
+def previous_twins(P: Poset) -> list[int]:
+    """Twin links: entry i is the mask of i's twin with the next lower
+    index, 0 if i is the lowest of its twin class.
+
+    Twins have the same strict up-set and the same strict down-set, so
+    they are incomparable and any permutation of one twin class is an
+    automorphism of P fixing every other element.
+    """
+    last: dict[tuple[int, int], int] = {}
+    out = []
+    for i in range(P.n):
+        key = (P.up[i] ^ 1 << i, P.down[i] ^ 1 << i)
+        out.append(last.get(key, 0))
+        last[key] = 1 << i
+    return out
+
+
 def minimal_elements(P: Poset) -> int:
     return mask_of(i for i in range(P.n) if P.down[i] == 1 << i)
 

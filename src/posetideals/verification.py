@@ -46,6 +46,7 @@ from .poset import (
     Poset,
     _check_capacity,
     adjoin_bounds,
+    bits,
     direct_product,
     disjoint_union,
     down_closure,
@@ -54,7 +55,9 @@ from .poset import (
     is_directed,
     least_in,
     mask_of,
+    maximal_elements,
     minimal_elements,
+    previous_twins,
 )
 
 HOLDS = "holds"
@@ -110,9 +113,26 @@ def generate_corpus(max_n: int = 5, ceiling: int = CORPUS_CEILING) -> Corpus:
     """All posets up to isomorphism, sizes 0..max_n, stored canonically.
 
     Orderly extension: every poset on n+1 points arises from one on n
-    points by adding a new maximal element over some downset, so extending
-    every size-n representative in every way and deduplicating by canonical
-    form reaches every class exactly once.
+    points by adding a new maximal element over some downset.  Each size-n
+    representative is extended over its downsets, the children are
+    deduplicated by canonical form, and each row is sorted by canonical
+    up-rows.  Two rules skip downsets whose children some kept downset
+    already covers (the cheap half of McKay's canonical construction path,
+    *Isomorph-free exhaustive generation*, 1998):
+
+    - Canonical deletion: skip when some maximal element outside the
+      downset has a larger down-set than the new element.  A class Q on
+      n+1 points is still reached: delete a maximal m of Q with the
+      largest down-set; extending the representative of Q - m over the
+      image of the rest of down(m) gives a child isomorphic to Q that no
+      maximal element beats.
+    - Twin filter: within each twin class of the parent (previous_twins)
+      the downset may hold only a lowest-indexed run.  Permuting twins is
+      an automorphism, which maps any downset onto one that passes, keeps
+      the child's class and keeps the first rule's verdict.
+
+    Neither rule touches the canonical forms, so the corpus is the same
+    sorted set of representatives as extending in every way.
     """
     if max_n > ceiling:
         raise CapacityExceeded(f"corpus size {max_n} exceeds ceiling {ceiling}")
@@ -120,7 +140,15 @@ def generate_corpus(max_n: int = 5, ceiling: int = CORPUS_CEILING) -> Corpus:
     for n in range(1, max_n + 1):
         seen: dict[tuple[int, ...], Poset] = {}
         for parent in rows[n - 1]:
+            tops = [(parent.down[m].bit_count(), 1 << m)
+                    for m in bits(maximal_elements(parent))]
+            links = [(1 << i, prev) for i, prev in enumerate(previous_twins(parent)) if prev]
             for d in downset_masks(parent):
+                size = d.bit_count() + 1
+                if any(k > size and not d & m for k, m in tops):
+                    continue
+                if any(d & i and not d & prev for i, prev in links):
+                    continue
                 canon, _ = canonical_form(_extend_by_maximal(parent, d))
                 seen.setdefault(canon.up, canon)
         rows.append(tuple(sorted(seen.values(), key=lambda Q: Q.up)))

@@ -12,6 +12,7 @@ from itertools import permutations, product
 from typing import Iterator
 
 from posetideals import CnfOrdinal
+from posetideals.completions import downset_masks
 from posetideals.morphisms import (
     DEFAULT_BUDGET,
     ISOMORPHISM,
@@ -19,9 +20,11 @@ from posetideals.morphisms import (
     MAP_KINDS,
     STRICTLY_ISOTONE,
     BudgetExceeded,
+    canonical_form,
 )
 from posetideals.ordinals import ZERO, cnf_from_int
 from posetideals.poset import Poset, linear_extension
+from posetideals.verification import _extend_by_maximal
 
 
 def members(mask: int) -> list[int]:
@@ -297,6 +300,21 @@ def all_posets_naive(n: int) -> set[tuple[int, ...]]:
                   for p in permutations(range(n)))
         canons.add(enc)
     return canons
+
+
+def generate_corpus_reference(max_n: int) -> list[tuple[Poset, ...]]:
+    """The corpus rows by unpruned orderly extension: every size-n
+    representative extended over every downset, canonicalised and
+    deduplicated, each row sorted by canonical up-rows."""
+    rows: list[tuple[Poset, ...]] = [(Poset(0, ()),)]
+    for n in range(1, max_n + 1):
+        seen: dict[tuple[int, ...], Poset] = {}
+        for parent in rows[n - 1]:
+            for d in downset_masks(parent):
+                canon, _ = canonical_form(_extend_by_maximal(parent, d))
+                seen.setdefault(canon.up, canon)
+        rows.append(tuple(sorted(seen.values(), key=lambda Q: Q.up)))
+    return rows
 
 
 def colours_naive(P) -> list[int]:

@@ -433,12 +433,19 @@ CHECK_ALL_SHA256 = {
     ("6", "json"): "a4b81d1566d30a013835259d0eba340161805d7f96c92e0f3b5291fae21268bc",
 }
 COMPLETE_N4_SHA256 = "83ef0503aac663905b6f740435925edbfa6198d223dcdd47cd640ab97c646681"
+GEN_N6_SHA256 = {
+    "text": "a901a054d323920d8042dcc3fa4485d6dbd04aaf1cd1b36be7c988df59b6187d",
+    "json": "68d7fcc383e14e620cdd2c07847c209e88aabc860ca79c0b9700ca811680a2dd",
+}
 
 
 def test_outputs_match_their_pinned_digests(capsys, monkeypatch):
     for (max_n, fmt), digest in CHECK_ALL_SHA256.items():
         rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
                              "--max-n", max_n)
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    for fmt, digest in GEN_N6_SHA256.items():
+        rc, out, _ = run_cli(capsys, "--format", fmt, "gen", "--max-n", "6")
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
     # every family operator on every n<=4 class, in corpus then operator order
     h = hashlib.sha256()

@@ -10,6 +10,7 @@ from oracles import canonical_form_naive, isotone_images_naive, iter_maps_refere
 from posetideals import (
     BudgetExceeded,
     are_isomorphic,
+    build_chain_bundle,
     canonical_form,
     canonical_key,
     exists_map,
@@ -31,7 +32,7 @@ from posetideals.morphisms import (
     STRICTLY_ISOTONE,
     AssignUndefined,
 )
-from posetideals.poset import Poset
+from posetideals.poset import Poset, disjoint_union
 
 
 def test_map_kind_ladder():
@@ -155,16 +156,28 @@ def test_canonical_form_is_invariant(triple):
 
 def test_canonical_form_against_the_permutation_scan(corpus5):
     # pins representatives and certificates, hence instance ids: two
-    # relabelings of every n<=5 class, one of a sample of n=7 classes
+    # relabelings of every n<=5 class, one of a sample of n=7 classes, and
+    # twin-rich posets, where the search skips twins placed out of order
     rng = random.Random(3)
     cases = [P for _, P in corpus5.items() for _ in range(2)]
     cases += rng.sample(generate_corpus(7, ceiling=7).by_size[7], 25)
+    cases += [antichain(k) for k in range(1, 7)]
+    cases += [disjoint_union([chain(k) for k in ks])
+              for ks in ((2, 2, 2), (3, 3), (1, 1, 2, 2))]
+    cases.append(build_chain_bundle(2))
     for P in cases:
         perm = list(range(P.n))
         rng.shuffle(perm)
         Q = relabel(P, perm)
         canon, cert = canonical_form(Q)
         assert (canon.up, cert) == canonical_form_naive(Q)
+
+
+@settings(max_examples=60)
+@given(posets())
+def test_canonical_form_against_the_permutation_scan_on_random_posets(P):
+    canon, cert = canonical_form(P)
+    assert (canon.up, cert) == canonical_form_naive(P)
 
 
 # --- ascending replay ----------------------------------------------------------

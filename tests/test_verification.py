@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, posets, vee, wedge
-from oracles import all_posets_naive
+from oracles import all_posets_naive, generate_corpus_reference
 from posetideals import (
     CapacityExceeded,
     Corpus,
@@ -25,6 +25,7 @@ from posetideals import (
     generate_corpus,
     ideals,
     run_suite,
+    verification,
 )
 from posetideals.morphisms import STRICTLY_ISOTONE, are_isomorphic, canonical_key
 from posetideals.poset import adjoin_bounds
@@ -53,6 +54,28 @@ def test_corpus_counts_to_seven():
     # OEIS A000112
     corpus = generate_corpus(7, ceiling=7)
     assert tuple(len(row) for row in corpus.by_size) == (1, 1, 2, 5, 16, 63, 318, 2045)
+
+
+def test_corpus_matches_the_unpruned_reference():
+    # the skip rules drop children only: same representatives, same order
+    got = generate_corpus.__wrapped__(6, ceiling=6)
+    want = generate_corpus_reference(6)
+    assert [[P.up for P in row] for row in got.by_size] == \
+        [[P.up for P in row] for row in want]
+
+
+def test_corpus_canonical_form_calls(monkeypatch):
+    # 939 children without the skip rules, for the 405 classes of sizes 1-6
+    calls = []
+    canonical_form = verification.canonical_form
+
+    def counted(P):
+        calls.append(P)
+        return canonical_form(P)
+
+    monkeypatch.setattr(verification, "canonical_form", counted)
+    generate_corpus.__wrapped__(6, ceiling=6)
+    assert len(calls) == 442
 
 
 def test_corpus_matches_the_relation_scan(corpus4):
