@@ -3,7 +3,6 @@ of the structure theorems they witness."""
 
 from .algebra import (
     SemilatticeStructure,
-    check_free_property,
     classify,
     semilattice_homs,
     subsemilattices,
@@ -12,13 +11,10 @@ from .algebra import (
 from .completions import (
     FamilyPoset,
     chain_ideals,
-    compact_elements,
     downsets,
     fdown,
     ideals,
     iterate_id,
-    least_compact_above,
-    n_compact_elements,
     principal_embedding,
     x_down,
 )
@@ -55,10 +51,8 @@ from .poset import (
     adjoin_bounds,
     direct_product,
     disjoint_union,
-    dual,
     from_up_rows,
     hasse_covers,
-    validate_poset,
 )
 from .verification import (
     CheckReport,

@@ -20,13 +20,8 @@ from .morphisms import MonotoneMap, iter_maps, map_kind
 from .poset import (
     CapacityExceeded,
     Poset,
-    bits,
-    down_closure,
-    induced,
     is_directed,
-    least_in,
     linear_extension,
-    mask_of,
     render_elemset,
 )
 
@@ -241,60 +236,6 @@ def principal_embedding(P: Poset) -> MonotoneMap:
     kind = map_kind(P, fam.order, image)
     assert kind is not None
     return MonotoneMap(P, fam.order, image, kind)
-
-
-def compact_elements(P: Poset) -> int:
-    """Elements x such that every nonempty directed set with a least upper
-    bound above x already contains a member above x.
-
-    Brute force over all nonempty directed subsets that possess a least
-    upper bound; subsets without one impose no constraint.  The directed
-    sets quantified over are nonempty: otherwise a least element, whose
-    empty-set supremum it is, could never be compact.  The scan covers all
-    2^n subsets and shares the family cap, so it allows n <= 14.
-    """
-    if P.n == 0:
-        return 0
-    if (1 << P.n) > FAMILY_CAP:
-        raise CapacityExceeded(f"2^{P.n} subsets exceeds cap {FAMILY_CAP}")
-    candidates = P.full_mask
-    lub_memo: dict[int, int | None] = {}
-    for s in range(1, 1 << P.n):
-        if not is_directed(P, s):
-            continue
-        ub = P.full_mask
-        for i in bits(s):
-            ub &= P.up[i]
-        if not ub:
-            continue
-        if ub in lub_memo:
-            lub = lub_memo[ub]
-        else:
-            lub = lub_memo[ub] = least_in(P.up, ub)
-        if lub is None:
-            continue
-        covered = down_closure(P, s)
-        candidates &= ~(P.down[lub] & ~covered)
-        if not candidates:
-            break
-    return candidates
-
-
-def n_compact_elements(P: Poset, n: int) -> int:
-    """Iterate compact_elements on the induced subposet n times (n >= 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    carrier = P.full_mask
-    for _ in range(n):
-        sub, elems = induced(P, carrier)
-        c = compact_elements(sub)
-        carrier = mask_of(elems[i] for i in bits(c))
-    return carrier
-
-
-def least_compact_above(P: Poset, a: int) -> int | None:
-    """The minimum of the compact elements above a, when that set has one."""
-    return least_in(P.up, compact_elements(P) & P.up[a])
 
 
 def x_down(P: Poset, X: Sequence[Poset], budget: int | None = None) -> FamilyPoset:

@@ -133,15 +133,10 @@ class ChainDescriptor:
     """
 
     cof: str
-    label: str = ""
 
     def __post_init__(self):
         if self.cof not in (COF_EMPTY, COF_HAS_MAX) and not _REGULAR_RE.match(self.cof):
             raise ValueError(f"bad cofinality tag {self.cof!r}")
-
-    @property
-    def is_regular_symbol(self) -> bool:
-        return self.cof not in (COF_EMPTY, COF_HAS_MAX)
 
 
 def cofinality(a: CnfOrdinal) -> ChainDescriptor:
@@ -152,11 +147,6 @@ def cofinality(a: CnfOrdinal) -> ChainDescriptor:
     if not is_limit(a):
         return ChainDescriptor(COF_HAS_MAX)
     return ChainDescriptor("w")
-
-
-def descriptor_of(a: CnfOrdinal, label: str = "") -> ChainDescriptor:
-    d = cofinality(a)
-    return ChainDescriptor(d.cof, label)
 
 
 def product_has_cofinal_chain(chains: list[ChainDescriptor]) -> bool:

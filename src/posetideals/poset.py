@@ -114,22 +114,6 @@ def _check_capacity(n: int):
         raise CapacityExceeded(f"{n} elements exceeds the {MAX_ELEMENTS}-element envelope")
 
 
-def validate_poset(relation: Sequence[Sequence[int]], labels=None) -> Poset:
-    """Build a Poset from an n x n 0/1 matrix, checking the order axioms.
-
-    Raises NotReflexive, NotAntisymmetric or NotTransitive naming the first
-    violation in scan order (rows ascending, columns ascending).
-    """
-    n = len(relation)
-    _check_capacity(n)
-    rows = []
-    for i, row in enumerate(relation):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        rows.append(mask_of(j for j, v in enumerate(row) if v))
-    return validate_up_rows(rows, labels)
-
-
 def validate_up_rows(rows: Sequence[int], labels=None) -> Poset:
     """Build a Poset from up-set masks, checking the order axioms."""
     n = len(rows)
@@ -193,17 +177,6 @@ def down_closure(P: Poset, x: int) -> int:
     return out
 
 
-def up_closure(P: Poset, x: int) -> int:
-    out = 0
-    for i in bits(x):
-        out |= P.up[i]
-    return out
-
-
-def is_downset(P: Poset, x: int) -> bool:
-    return down_closure(P, x) == x
-
-
 def is_directed(P: Poset, d: int) -> bool:
     """Upward directed: every pair in d has an upper bound in d.
 
@@ -213,17 +186,6 @@ def is_directed(P: Poset, d: int) -> bool:
     for a in range(len(elems)):
         for b in range(a + 1, len(elems)):
             if not P.up[elems[a]] & P.up[elems[b]] & d:
-                return False
-    return True
-
-
-def is_chain(P: Poset, c: int) -> bool:
-    """Totally ordered subset; empty and singletons count."""
-    elems = list(bits(c))
-    for a in range(len(elems)):
-        for b in range(a + 1, len(elems)):
-            i, j = elems[a], elems[b]
-            if not (P.leq(i, j) or P.leq(j, i)):
                 return False
     return True
 
@@ -247,11 +209,6 @@ def hasse_covers(P: Poset) -> tuple[tuple[int, int], ...]:
             rest = cov >> (j + 1) << (j + 1)
         out.extend((i, j) for j in bits(cov))
     return tuple(out)
-
-
-def dual(P: Poset) -> Poset:
-    """Same elements, order reversed."""
-    return Poset(P.n, P.down, P.labels)
 
 
 def disjoint_union(parts: Sequence[Poset]) -> Poset:
@@ -285,27 +242,14 @@ def direct_product(P: Poset, Q: Poset) -> Poset:
     return Poset(P.n * Q.n, tuple(rows), labels)
 
 
-def adjoin_bounds(P: Poset, add_top: bool = True, add_bottom: bool = True) -> Poset:
-    """Add a new global bottom and/or top.  New indices follow the old ones:
-    bottom first (index n), then top."""
+def adjoin_bounds(P: Poset) -> Poset:
+    """Add a new global bottom (index n) and top (index n + 1)."""
     n = P.n
-    extra = int(add_top) + int(add_bottom)
-    _check_capacity(n + extra)
-    rows = list(P.up)
-    labels = list(P.labels) if P.labels is not None else None
-    if add_bottom:
-        b = len(rows)
-        rows = [r for r in rows]
-        rows.append(((1 << n) - 1) | (1 << b))
-        if labels is not None:
-            labels.append("bot")
-    if add_top:
-        t = len(rows)
-        rows = [r | (1 << t) for r in rows]
-        rows.append(1 << t)
-        if labels is not None:
-            labels.append("top")
-    return Poset(len(rows), tuple(rows), tuple(labels) if labels is not None else None)
+    _check_capacity(n + 2)
+    b, t = 1 << n, 1 << n + 1
+    rows = [r | t for r in P.up] + [P.full_mask | b | t, t]
+    labels = tuple(P.labels) + ("bot", "top") if P.labels is not None else None
+    return Poset(n + 2, tuple(rows), labels)
 
 
 def induced(P: Poset, carrier: int) -> tuple[Poset, tuple[int, ...]]:

@@ -124,10 +124,12 @@ def map_to_json(f: MonotoneMap) -> dict:
 
 
 def poset_to_dot(P: Poset, name: str = "poset") -> str:
-    """Hasse diagram in DOT, drawn bottom-up."""
+    """Hasse diagram in DOT, drawn bottom-up.  Labels are quoted with
+    backslash and double quote escaped, so no label can end its string."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i in range(P.n):
-        lines.append(f'  {i} [label="{P.label(i)}"];')
+        label = P.label(i).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {i} [label="{label}"];')
     for i, j in hasse_covers(P):
         lines.append(f"  {i} -> {j};")
     lines.append("}")

@@ -189,7 +189,7 @@ def check_theorem_3_1(S: Poset, instance: str = "adhoc") -> CheckReport:
         if carrier.bit_count() < T.base.n:
             continue
         sub = substructure(SS, carrier)
-        for h in semilattice_homs(sub, T, require_surjective=True):
+        for h in semilattice_homs(sub, T):
             return CheckReport("thm31", instance, FAILS,
                                {"carrier": carrier, "image": list(h.image),
                                 "family": list(F.sets)})

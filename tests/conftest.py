@@ -9,6 +9,11 @@ from posetideals import Poset, from_up_rows, generate_corpus
 from posetideals.poset import transitive_closure, validate_up_rows
 
 
+def pytest_report_header(config):
+    # pyproject's pythonpath wins over PYTHONPATH, so say which tree is tested
+    return f"posetideals imported from {Path(posetideals.__file__).resolve().parent}"
+
+
 def child_env(**extra: str) -> dict[str, str]:
     """Environment for a child Python process: the posetideals under test
     first on its path, so subprocess tests need no install or PYTHONPATH."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator
 
-from posetideals import CnfOrdinal
+from posetideals import CnfOrdinal, classify, fdown
 from posetideals.completions import downset_masks
 from posetideals.morphisms import (
     DEFAULT_BUDGET,
@@ -140,28 +140,6 @@ def fdown_naive(P) -> set[int]:
     return out
 
 
-def compact_naive(P) -> int:
-    """Compactness from the definition: x survives unless some nonempty
-    directed set has a least upper bound above x but no member above x."""
-    out = 0
-    for x in range(P.n):
-        ok = True
-        for s in range(1, 1 << P.n):
-            if not is_directed_naive(P, s):
-                continue
-            ubs = [m for m in range(P.n)
-                   if all(P.leq(i, m) for i in members(s))]
-            lubs = [m for m in ubs if all(P.leq(m, u) for u in ubs)]
-            if not lubs:
-                continue
-            if P.leq(x, lubs[0]) and not any(P.leq(x, i) for i in members(s)):
-                ok = False
-                break
-        if ok:
-            out |= 1 << x
-    return out
-
-
 def isotone_images_naive(A, B) -> set[tuple[int, ...]]:
     """Every function A -> B, filtered by the order-preservation clause."""
     out = set()
@@ -258,6 +236,26 @@ def semilattice_homs_naive(A, B, surjective: bool) -> set[tuple[int, ...]]:
                for x in range(A.base.n) for y in range(A.base.n)):
             out.add(img)
     return out
+
+
+def free_property_naive(P, battery) -> bool:
+    """Is fdown(P) free on P as seen from every upper semilattice T in
+    battery?  Restricting a join homomorphism fdown(P) -> T to the
+    principal downsets must biject the homomorphisms onto the isotone maps
+    P -> T; both sides are found by scanning every function.  False, not
+    an error, when fdown(P) is not an upper semilattice or misses a
+    principal downset."""
+    F = fdown(P)
+    SF = classify(F.order)
+    if not SF.is_upper or any(P.down[x] not in F for x in range(P.n)):
+        return False
+    principal = [F.index(P.down[x]) for x in range(P.n)]
+    for T in battery:
+        homs = semilattice_homs_naive(SF, T, False)
+        restrictions = {tuple(h[i] for i in principal) for h in homs}
+        if len(restrictions) != len(homs) or restrictions != isotone_images_naive(P, T.base):
+            return False
+    return True
 
 
 def x_down_naive(P, X) -> set[int]:

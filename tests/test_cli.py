@@ -535,6 +535,17 @@ def test_render_poset(capsys, diamond_file):
                    "  0 -> 1;\n  0 -> 2;\n  1 -> 3;\n  2 -> 3;\n}\n")
 
 
+def test_render_escapes_labels(capsys, monkeypatch):
+    # a quote or a trailing backslash must not end the DOT string early
+    doc = {"n": 3, "leq": [[0, 1]], "labels": ['a"] ; evil [x="', "y\\", 'a"b']}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    rc, out, _ = run_cli(capsys, "render")
+    assert rc == 0
+    assert out.splitlines()[2:5] == ['  0 [label="a\\"] ; evil [x=\\""];',
+                                     '  1 [label="y\\\\"];',
+                                     '  2 [label="a\\"b"];']
+
+
 def test_render_family(capsys, diamond_file, monkeypatch):
     _, fam_json, _ = run_cli(capsys, "complete", "--op", "Id", "--in", diamond_file)
     monkeypatch.setattr(sys, "stdin", io.StringIO(fam_json))

@@ -1,4 +1,4 @@
-"""Downset and ideal families, the free join-closure, compactness."""
+"""Downset and ideal families and the free join-closure."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,31 +8,28 @@ import random
 from conftest import antichain, chain, diamond, posets, relabel, vee
 from oracles import (
     chain_downsets_naive,
-    compact_naive,
     downsets_naive,
     fdown_naive,
     ideals_naive,
     inclusion_rows_pairwise,
+    is_downset_naive,
     x_down_naive,
 )
 from posetideals import (
     CapacityExceeded,
     Poset,
     chain_ideals,
-    compact_elements,
     downsets,
     generate_corpus,
     fdown,
     ideals,
     iterate_id,
-    least_compact_above,
-    n_compact_elements,
     principal_embedding,
     x_down,
 )
 from posetideals import completions
 from posetideals.morphisms import ISOMORPHISM, are_isomorphic
-from posetideals.poset import adjoin_bounds, is_downset, render_elemset
+from posetideals.poset import adjoin_bounds, induced, render_elemset
 from posetideals.verification import chains_battery
 
 
@@ -42,7 +39,7 @@ def test_downsets_match_the_subset_scan(P):
     fam = downsets(P)
     assert set(fam.sets) == downsets_naive(P)
     assert list(fam.sets) == sorted(fam.sets)
-    assert all(is_downset(P, s) for s in fam.sets)
+    assert all(is_downset_naive(P, s) for s in fam.sets)
 
 
 @settings(max_examples=60)
@@ -189,24 +186,9 @@ def test_principal_embedding_is_an_isomorphism(P):
 
 def test_ideal_family_is_base_plus_bottom(corpus4):
     for _, P in corpus4.items():
-        assert are_isomorphic(ideals(P, True).order, adjoin_bounds(P, add_top=False))
-
-
-@settings(max_examples=40)
-@given(posets(5))
-def test_every_element_is_compact_here(P):
-    # finite directed sets have greatest elements, so nothing can sneak
-    # above an element without a member doing so
-    assert compact_elements(P) == P.full_mask
-    assert compact_naive(P) == P.full_mask
-    if P.n:
-        assert n_compact_elements(P, 2) == P.full_mask
-        assert least_compact_above(P, 0) == 0
-
-
-def test_n_compact_rejects_zero():
-    with pytest.raises(ValueError):
-        n_compact_elements(diamond(), 0)
+        # adjoin_bounds puts the top last, so the first n + 1 are P and a bottom
+        bottomed, _ = induced(adjoin_bounds(P), (1 << P.n + 1) - 1)
+        assert are_isomorphic(ideals(P, True).order, bottomed)
 
 
 def test_x_down_matches_the_function_scan():

@@ -32,7 +32,6 @@ from posetideals.ordinals import (
     ONE,
     ZERO,
     cnf_from_int,
-    descriptor_of,
     omega_power,
     parse_descriptor,
 )
@@ -201,12 +200,10 @@ def test_cofinality_classes():
 
 
 def test_descriptor_validation_and_labels():
-    assert ChainDescriptor("w1").is_regular_symbol
-    assert not ChainDescriptor(COF_HAS_MAX).is_regular_symbol
+    assert ChainDescriptor("w1").cof == "w1"
     with pytest.raises(ValueError):
         ChainDescriptor("omega")
-    d = descriptor_of(OMEGA, label="first factor")
-    assert d.cof == "w" and d.label == "first factor"
+    assert cofinality(OMEGA) == ChainDescriptor("w")
 
 
 def test_parse_descriptor():
