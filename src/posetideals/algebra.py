@@ -40,24 +40,25 @@ class SemilatticeStructure:
 
 
 def classify(P: Poset) -> SemilatticeStructure:
-    """Join and meet tables plus the structure tag."""
-    join = []
-    meet = []
-    join_total = True
-    meet_total = True
+    """Join and meet tables plus the structure tag.
+
+    Each unordered pair {i, j} is looked at once: its join is the least
+    member of up[i] & up[j] and its meet the greatest of down[i] & down[j]
+    (least_in on the down-rows), written into both (i, j) and (j, i).  The
+    diagonal is i itself.
+    """
+    n = P.n
     up, down = P.up, P.down
-    for i in range(P.n):
-        jrow = []
-        mrow = []
-        for j in range(P.n):
-            v = least_in(up, up[i] & up[j])
-            w = least_in(down, down[i] & down[j])
-            jrow.append(v)
-            mrow.append(w)
-            join_total &= v is not None
-            meet_total &= w is not None
-        join.append(tuple(jrow))
-        meet.append(tuple(mrow))
+    join = [[None] * n for _ in range(n)]
+    meet = [[None] * n for _ in range(n)]
+    join_total = meet_total = True
+    for i in range(n):
+        join[i][i] = meet[i][i] = i
+        for j in range(i + 1, n):
+            v = join[i][j] = join[j][i] = least_in(up, up[i] & up[j])
+            w = meet[i][j] = meet[j][i] = least_in(down, down[i] & down[j])
+            join_total = join_total and v is not None
+            meet_total = meet_total and w is not None
     if join_total and meet_total:
         kind = LATTICE
     elif join_total:
@@ -66,7 +67,7 @@ def classify(P: Poset) -> SemilatticeStructure:
         kind = LOWER
     else:
         kind = NEITHER
-    return SemilatticeStructure(P, tuple(join), tuple(meet), kind)
+    return SemilatticeStructure(P, tuple(map(tuple, join)), tuple(map(tuple, meet)), kind)
 
 
 def substructure(S: SemilatticeStructure, carrier: int) -> SemilatticeStructure:

@@ -140,8 +140,8 @@ def downset_masks(P: Poset) -> list[int]:
     """
     out = [0]
     for e in linear_extension(P):
-        below = P.down[e]
-        out += [m | 1 << e for m in out if below & ~m == 1 << e]
+        below, bit = P.down[e], 1 << e
+        out += [m | bit for m in out if below & ~m == bit]
         if len(out) > FAMILY_CAP:
             raise CapacityExceeded(f"downset family exceeds cap {FAMILY_CAP}")
     out.sort()
@@ -243,11 +243,12 @@ def x_down(P: Poset, X: Sequence[Poset], budget: int | None = None) -> FamilyPos
     of X.  The maps are enumerated by backtracking, one source poset at a
     time; distinct maps with the same closure collapse."""
     found: set[int] = set()
+    down = P.down
     for Q in X:
         for img in iter_maps(Q, P, "isotone", budget):
             cl = 0
-            for q in range(Q.n):
-                cl |= P.down[img[q]]
+            for y in img:
+                cl |= down[y]
             found.add(cl)
             if len(found) > FAMILY_CAP:
                 raise CapacityExceeded(f"x_down family exceeds cap {FAMILY_CAP}")

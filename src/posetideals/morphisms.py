@@ -51,41 +51,39 @@ class MonotoneMap:
         return self.image[i]
 
 
-def _is_isotone(A: Poset, B: Poset, img) -> bool:
-    for i in range(A.n):
-        for j in bits(A.up[i]):
-            if not B.leq(img[i], img[j]):
-                return False
-    return True
-
-
-def _is_strict(A: Poset, B: Poset, img) -> bool:
-    for i in range(A.n):
-        for j in bits(A.up[i] & ~(1 << i)):
-            if not B.lt(img[i], img[j]):
-                return False
-    return True
-
-
-def _is_embedding(A: Poset, B: Poset, img) -> bool:
-    for i in range(A.n):
-        for j in range(A.n):
-            if A.leq(i, j) != B.leq(img[i], img[j]):
-                return False
-    return True
-
-
 def map_kind(A: Poset, B: Poset, img) -> str | None:
-    """Strongest class the map satisfies, or None if not even isotone."""
-    if not _is_isotone(A, B, img):
-        return None
-    if not _is_strict(A, B, img):
+    """Strongest class the map satisfies, or None if not even isotone.
+
+    One row test per source element.  pre[y] is the mask of sources
+    mapped to y, and pulled[i] the OR of pre over B.up[img[i]]: the
+    sources whose images lie above img[i].  The map is isotone iff every
+    A.up[i] lies inside pulled[i], strictly isotone iff moreover
+    A.up[i] & pre[img[i]] is i alone (nothing strictly above i shares its
+    image), and an embedding iff pulled[i] == A.up[i] for every i.  An
+    embedding is injective, so it is an isomorphism exactly when
+    A.n == B.n.
+    """
+    pre = [0] * B.n
+    for i, y in enumerate(img):
+        pre[y] |= 1 << i
+    strict = embedding = True
+    for i, y in enumerate(img):
+        row = B.up[y]
+        pulled = 0
+        while row:
+            low = row & -row
+            pulled |= pre[low.bit_length() - 1]
+            row ^= low
+        a = A.up[i]
+        if a & ~pulled:
+            return None
+        strict = strict and a & pre[y] == 1 << i
+        embedding = embedding and a == pulled
+    if not strict:
         return ISOTONE
-    if not _is_embedding(A, B, img):
+    if not embedding:
         return STRICTLY_ISOTONE
-    if A.n == B.n and len(set(img)) == A.n:
-        return ISOMORPHISM
-    return EMBEDDING
+    return ISOMORPHISM if A.n == B.n else EMBEDDING
 
 
 def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
@@ -124,21 +122,37 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
     strict = kind != ISOTONE
     reflect = kind in (EMBEDDING, ISOMORPHISM)
     injective = kind == ISOMORPHISM
-    above = [B.up[f] & ~(1 << f) if strict else B.up[f] for f in range(B.n)]
-    apart = [full & ~(B.up[f] | B.down[f]) for f in range(B.n)]
+    above = [row ^ 1 << f for f, row in enumerate(B.up)] if strict else B.up
+    if reflect:
+        apart = [full & ~(row | B.down[f]) for f, row in enumerate(B.up)]
     # cons[t]: (earlier element, mask table by its image) pairs bounding the
     # candidates of position t.  Lower covers suffice for the order
     # constraint, since the covers' own images already respect theirs.
+    # bits() is inlined: most searches end within a few nodes, so this
+    # set-up is a large share of their cost
     order = linear_extension(A)
+    up, down = A.up, A.down
     cons = []
     earlier = 0
     for s in order:
-        lower = A.down[s] & ~(1 << s)
-        pairs = [(c, above) for c in bits(lower) if A.up[c] & lower == 1 << c]
+        bit = 1 << s
+        lower = down[s] ^ bit
+        pairs = []
+        rest = lower
+        while rest:
+            low = rest & -rest
+            c = low.bit_length() - 1
+            if up[c] & lower == low:
+                pairs.append((c, above))
+            rest ^= low
         if reflect:
-            pairs += [(c, apart) for c in bits(earlier & ~lower)]
+            rest = earlier & ~lower
+            while rest:
+                low = rest & -rest
+                pairs.append((low.bit_length() - 1, apart))
+                rest ^= low
         cons.append(pairs)
-        earlier |= 1 << s
+        earlier |= bit
     last = A.n - 1
     img = [0] * A.n
     cands = [full] * A.n  # candidates not yet taken at each depth

@@ -88,8 +88,11 @@ class Poset:
         """down[j] = bitmask of elements i with i <= j."""
         rows = [0] * self.n
         for i, row in enumerate(self.up):
-            for j in bits(row):
-                rows[j] |= 1 << i
+            bit = 1 << i
+            while row:
+                low = row & -row
+                rows[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(rows)
 
     @property
@@ -163,9 +166,13 @@ def transitive_closure(rows: Sequence[int]) -> list[int]:
 def least_in(rows: Sequence[int], mask: int) -> int | None:
     """The least member of mask under up-rows: the m in mask with
     mask & ~rows[m] == 0, else None.  Pass down-rows for the greatest."""
-    for m in bits(mask):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        m = low.bit_length() - 1
         if mask & ~rows[m] == 0:
             return m
+        rest ^= low
     return None
 
 
@@ -180,13 +187,22 @@ def down_closure(P: Poset, x: int) -> int:
 def is_directed(P: Poset, d: int) -> bool:
     """Upward directed: every pair in d has an upper bound in d.
 
-    The empty set and singletons are directed.
+    Row by row: for each a in d, the row up[a] & d must meet up[b] for
+    every b in d of higher index, so each pair is tested once with one
+    AND.  The empty set and singletons are directed.
     """
-    elems = list(bits(d))
-    for a in range(len(elems)):
-        for b in range(a + 1, len(elems)):
-            if not P.up[elems[a]] & P.up[elems[b]] & d:
+    up = P.up
+    rest = d
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = up[low.bit_length() - 1] & d
+        later = rest
+        while later:
+            b = later & -later
+            if not row & up[b.bit_length() - 1]:
                 return False
+            later ^= b
     return True
 
 
@@ -270,8 +286,9 @@ def induced(P: Poset, carrier: int) -> tuple[Poset, tuple[int, ...]]:
 
 
 def linear_extension(P: Poset) -> tuple[int, ...]:
-    """A deterministic linear extension: ascending |down(x)|, ties by index."""
-    return tuple(sorted(range(P.n), key=lambda i: (P.down[i].bit_count(), i)))
+    """A deterministic linear extension: ascending |down(x)|, ties by index
+    (sorted is stable)."""
+    return tuple(sorted(range(P.n), key=[row.bit_count() for row in P.down].__getitem__))
 
 
 def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:

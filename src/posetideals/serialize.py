@@ -123,10 +123,10 @@ def map_to_json(f: MonotoneMap) -> dict:
     }
 
 
-def poset_to_dot(P: Poset, name: str = "poset") -> str:
+def poset_to_dot(P: Poset) -> str:
     """Hasse diagram in DOT, drawn bottom-up.  Labels are quoted with
     backslash and double quote escaped, so no label can end its string."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph poset {", "  rankdir=BT;"]
     for i in range(P.n):
         label = P.label(i).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {i} [label="{label}"];')

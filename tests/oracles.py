@@ -15,6 +15,7 @@ from posetideals import CnfOrdinal, classify, fdown
 from posetideals.completions import downset_masks
 from posetideals.morphisms import (
     DEFAULT_BUDGET,
+    EMBEDDING,
     ISOMORPHISM,
     ISOTONE,
     MAP_KINDS,
@@ -23,7 +24,7 @@ from posetideals.morphisms import (
     canonical_form,
 )
 from posetideals.ordinals import ZERO, cnf_from_int
-from posetideals.poset import Poset, linear_extension
+from posetideals.poset import Poset, bits, linear_extension
 from posetideals.verification import _extend_by_maximal
 
 
@@ -148,6 +149,44 @@ def isotone_images_naive(A, B) -> set[tuple[int, ...]]:
                for i in range(A.n) for j in range(A.n) if A.leq(i, j)):
             out.add(img)
     return out
+
+
+def _is_isotone(A: Poset, B: Poset, img) -> bool:
+    for i in range(A.n):
+        for j in bits(A.up[i]):
+            if not B.leq(img[i], img[j]):
+                return False
+    return True
+
+
+def _is_strict(A: Poset, B: Poset, img) -> bool:
+    for i in range(A.n):
+        for j in bits(A.up[i] & ~(1 << i)):
+            if not B.lt(img[i], img[j]):
+                return False
+    return True
+
+
+def _is_embedding(A: Poset, B: Poset, img) -> bool:
+    for i in range(A.n):
+        for j in range(A.n):
+            if A.leq(i, j) != B.leq(img[i], img[j]):
+                return False
+    return True
+
+
+def map_kind_naive(A: Poset, B: Poset, img) -> str | None:
+    """The pairwise classification map_kind used before its row tests,
+    kept verbatim: each class predicate is checked pair by pair."""
+    if not _is_isotone(A, B, img):
+        return None
+    if not _is_strict(A, B, img):
+        return ISOTONE
+    if not _is_embedding(A, B, img):
+        return STRICTLY_ISOTONE
+    if A.n == B.n and len(set(img)) == A.n:
+        return ISOMORPHISM
+    return EMBEDDING
 
 
 def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,

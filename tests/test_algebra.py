@@ -37,9 +37,7 @@ def test_classify_tables():
     assert V.is_lower and not V.is_upper and not V.is_lattice
 
 
-@settings(max_examples=60)
-@given(posets(5))
-def test_classify_against_the_definitions(P):
+def _assert_classify_matches_the_definitions(P):
     S = classify(P)
     for i in range(P.n):
         for j in range(P.n):
@@ -49,6 +47,17 @@ def test_classify_against_the_definitions(P):
             lbs = [m for m in range(P.n) if P.leq(m, i) and P.leq(m, j)]
             great = [m for m in lbs if all(P.leq(l, m) for l in lbs)]
             assert S.meet[i][j] == (great[0] if great else None)
+
+
+@settings(max_examples=60)
+@given(posets(5))
+def test_classify_against_the_definitions(P):
+    _assert_classify_matches_the_definitions(P)
+
+
+def test_classify_against_the_definitions_on_the_corpus(corpus5):
+    for _, P in corpus5.items():
+        _assert_classify_matches_the_definitions(P)
 
 
 def test_subsemilattices_of_the_diamond():

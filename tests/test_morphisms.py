@@ -1,12 +1,19 @@
 """Map search and classification, canonical forms, the ascending replay."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee
-from oracles import canonical_form_naive, isotone_images_naive, iter_maps_reference
+from oracles import (
+    canonical_form_naive,
+    isotone_images_naive,
+    iter_maps_reference,
+    map_kind_naive,
+)
 from posetideals import (
     BudgetExceeded,
     are_isomorphic,
@@ -45,6 +52,21 @@ def test_map_kind_ladder():
     A2 = antichain(2)
     assert map_kind(A2, C2, (0, 1)) == STRICTLY_ISOTONE
     assert map_kind(vee(), chain(3), (0, 1, 2)) == STRICTLY_ISOTONE
+
+
+def test_map_kind_against_the_pairwise_predicates(corpus4):
+    # every function from each class with n <= 3 into each class with n <= 4
+    targets = [P for _, P in corpus4.items()]
+    sources = [P for P in targets if P.n <= 3]
+    kinds = Counter()
+    for A in sources:
+        for B in targets:
+            for img in product(range(B.n), repeat=A.n):
+                got = map_kind(A, B, img)
+                assert got == map_kind_naive(A, B, img), (A.up, B.up, img)
+                kinds[got] += 1
+    assert sum(kinds.values()) == 6609
+    assert set(kinds) == {None, *MAP_KINDS}
 
 
 def test_iter_maps_counts_and_order():

@@ -1,10 +1,12 @@
 """Core order structure: validation, closures, predicates, constructions."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import antichain, chain, diamond, posets, relabelings, vee, wedge
+from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee, wedge
 from oracles import (
     covers_naive,
     is_directed_naive,
@@ -103,6 +105,22 @@ def test_predicates_match_oracles(P, seed):
     assert is_downset_naive(P, down_closure(P, s))
     assert down_closure(P, down_closure(P, s)) == down_closure(P, s)
     assert is_directed(P, s) == is_directed_naive(P, s)
+
+
+def test_mask_primitives_on_every_subset_of_the_corpus(corpus5):
+    # every class with n <= 5 as generated and under one seeded relabelling,
+    # every subset, not only downsets
+    rng = random.Random(5)
+    cases = []
+    for _, P in corpus5.items():
+        cases += [P, relabel(P, rng.sample(range(P.n), P.n))]
+    assert len(cases) == 2 * 88
+    for P in cases:
+        assert P.down == tuple(sum(1 << i for i in range(P.n) if P.leq(i, j))
+                               for j in range(P.n))
+        for s in range(1 << P.n):
+            assert is_directed(P, s) == is_directed_naive(P, s), (P.up, s)
+            assert least_in(P.up, s) == least_naive(P, s), (P.up, s)
 
 
 @settings(max_examples=60)

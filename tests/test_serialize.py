@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, relabelings
-from posetideals import are_isomorphic, ideals, fdown
+from posetideals import are_isomorphic, ideals
 from posetideals.morphisms import MonotoneMap, map_kind
 from posetideals.serialize import (
     family_order_from_json,
@@ -93,4 +93,3 @@ def test_poset_to_dot():
     assert '1 [label="a"];' in dot
     assert "  0 -> 1;\n" in dot and "  2 -> 3;\n" in dot
     assert dot.endswith("}\n")
-    assert poset_to_dot(fdown(chain(2)).order, name="fam").startswith("digraph fam {")
