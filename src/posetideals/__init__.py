@@ -20,16 +20,12 @@ from .completions import (
 )
 from .morphisms import (
     BudgetExceeded,
-    KurepaStep,
-    KurepaTrace,
     MonotoneMap,
     are_isomorphic,
     canonical_form,
     canonical_key,
     exists_map,
-    isomorphism,
     iter_maps,
-    kurepa_chain,
     map_kind,
 )
 from .ordinals import (
@@ -39,9 +35,7 @@ from .ordinals import (
     cnf_mul,
     cnf_parse,
     cnf_str,
-    cofinality,
     id_order_type,
-    is_limit,
     product_has_cofinal_chain,
 )
 from .poset import (
@@ -57,6 +51,8 @@ from .poset import (
 from .verification import (
     CheckReport,
     Corpus,
+    KurepaStep,
+    KurepaTrace,
     build_atoms_lattice,
     build_chain_bundle,
     build_idemb_tower,
@@ -68,6 +64,7 @@ from .verification import (
     check_theorem_3_1,
     generate_corpus,
     kurepa_atoms_trace,
+    kurepa_chain,
     run_suite,
 )
 

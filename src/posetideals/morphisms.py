@@ -1,27 +1,19 @@
-"""Order-preserving maps between finite posets: search, classification,
-canonical relabeling, and the ascending-chain replay used by the
-verification suites.
+"""Order-preserving maps between finite posets: search, classification
+and canonical relabeling, which also decides isomorphism.
 
-Map classes form a chain: every embedding is strictly isotone, every
-strictly isotone map is isotone.  A strictly isotone map need not be
-injective, and the searches below never assume injectivity for that class.
+Map classes form a chain: every isomorphism is an embedding, every
+embedding is strictly isotone, every strictly isotone map is isotone.  The
+search enumerates the two weakest classes; map_kind names the strongest
+class of a given map.  A strictly isotone map need not be injective, and
+the search never assumes injectivity for that class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .poset import (
-    Poset,
-    bits,
-    down_closure,
-    linear_extension,
-    mask_of,
-    previous_twins,
-    refine_colours,
-    render_elemset,
-)
+from .poset import Poset, bits, linear_extension, previous_twins, refine_colours
 
 ISOTONE = "isotone"
 STRICTLY_ISOTONE = "strictly_isotone"
@@ -46,9 +38,6 @@ class MonotoneMap:
     target: Poset
     image: tuple[int, ...]
     kind: str  # strongest class the map satisfies
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
 
 
 def map_kind(A: Poset, B: Poset, img) -> str | None:
@@ -88,106 +77,79 @@ def map_kind(A: Poset, B: Poset, img) -> str | None:
 
 def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
               budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
-    """All maps A -> B satisfying the class predicate, as image tuples.
+    """All isotone (or all strictly isotone) maps A -> B, as image tuples.
 
     Source elements are assigned along a fixed linear extension of A with
     candidate targets in ascending index, so the enumeration order (and in
     particular the first witness) is deterministic.
 
     An element's legal targets are one mask of B, the AND of one mask per
-    constraining element assigned before it (forward checking): the targets
-    above (strictly, for all but isotone maps) the image of each lower
-    cover, and for embeddings and isomorphisms the targets incomparable to
-    the image of each incomparable element; isomorphisms also drop the
-    targets already used.  Candidates are taken lowest bit first.
+    lower cover (forward checking): the targets above (strictly, for
+    strictly isotone maps) the cover's image.  Lower covers suffice, since
+    the covers' own images already respect theirs.  Candidates are taken
+    lowest bit first.
 
     Budget nodes are counted per candidate index, as if each target were
     tried in turn: an element is charged one node per target index up to
     each candidate it takes, and the remaining indices once its mask runs
-    out; isomorphisms charge nothing for targets already used.  Exhausting
-    the budget raises BudgetExceeded rather than returning a partial answer,
-    after exactly the yields a one-candidate-at-a-time search would make.
+    out.  Exhausting the budget raises BudgetExceeded rather than returning
+    a partial answer, after exactly the yields a one-candidate-at-a-time
+    search would make.
     """
-    if kind not in MAP_KINDS:
-        raise ValueError(f"unknown map class {kind!r}")
+    if kind not in (ISOTONE, STRICTLY_ISOTONE):
+        raise ValueError(f"iter_maps searches isotone or strictly isotone maps, not {kind!r}")
     if A.n == 0:
-        if kind != ISOMORPHISM or B.n == 0:
-            yield ()
+        yield ()
         return
     if B.n == 0:
         return
-    if kind == ISOMORPHISM and A.n != B.n:
-        return
     full = B.full_mask
-    strict = kind != ISOTONE
-    reflect = kind in (EMBEDDING, ISOMORPHISM)
-    injective = kind == ISOMORPHISM
-    above = [row ^ 1 << f for f, row in enumerate(B.up)] if strict else B.up
-    if reflect:
-        apart = [full & ~(row | B.down[f]) for f, row in enumerate(B.up)]
-    # cons[t]: (earlier element, mask table by its image) pairs bounding the
-    # candidates of position t.  Lower covers suffice for the order
-    # constraint, since the covers' own images already respect theirs.
-    # bits() is inlined: most searches end within a few nodes, so this
-    # set-up is a large share of their cost
+    above = B.up if kind == ISOTONE else [row ^ 1 << f for f, row in enumerate(B.up)]
+    # covers[t]: the lower covers of position t's element.  bits() is
+    # inlined: most searches end within a few nodes, so this set-up is a
+    # large share of their cost
     order = linear_extension(A)
     up, down = A.up, A.down
-    cons = []
-    earlier = 0
+    covers = []
     for s in order:
-        bit = 1 << s
-        lower = down[s] ^ bit
-        pairs = []
+        lower = down[s] ^ 1 << s
+        found = []
         rest = lower
         while rest:
             low = rest & -rest
             c = low.bit_length() - 1
             if up[c] & lower == low:
-                pairs.append((c, above))
+                found.append(c)
             rest ^= low
-        if reflect:
-            rest = earlier & ~lower
-            while rest:
-                low = rest & -rest
-                pairs.append((low.bit_length() - 1, apart))
-                rest ^= low
-        cons.append(pairs)
-        earlier |= bit
+        covers.append(found)
     last = A.n - 1
     img = [0] * A.n
     cands = [full] * A.n  # candidates not yet taken at each depth
-    rest = [full] * A.n   # free target indices not yet charged at each depth
-    used = 0
+    charged = [0] * A.n   # target indices already charged at each depth
     nodes = 0
     t = 0
     while t >= 0:
         m = cands[t]
         low = m & -m
         if budget is not None:
-            if low:
-                upto = (low << 1) - 1
-                nodes += (rest[t] & upto).bit_count()
-                rest[t] &= ~upto
-            else:
-                nodes += rest[t].bit_count()
+            upto = low.bit_length() if low else B.n
+            nodes += upto - charged[t]
+            charged[t] = upto
             if nodes > budget:
                 raise BudgetExceeded(budget)
         if not low:
             t -= 1
-            if injective and t >= 0:
-                used ^= 1 << img[order[t]]
             continue
         cands[t] = m ^ low
         img[order[t]] = low.bit_length() - 1
         if t == last:
             yield tuple(img)
             continue
-        if injective:
-            used |= low
         t += 1
-        m = rest[t] = full & ~used
-        for c, table in cons[t]:
-            m &= table[img[c]]
+        charged[t] = 0
+        m = full
+        for c in covers[t]:
+            m &= above[img[c]]
         cands[t] = m
 
 
@@ -204,23 +166,6 @@ def exists_map(A: Poset, B: Poset, kind: str,
         assert got is not None and order(got) >= order(kind), "witness failed its class"
         return MonotoneMap(A, B, img, got)
     return None
-
-
-def _degree_profile(P: Poset):
-    return sorted((P.down[i].bit_count(), P.up[i].bit_count()) for i in range(P.n))
-
-
-def isomorphism(A: Poset, B: Poset, budget: int | None = DEFAULT_BUDGET) -> MonotoneMap | None:
-    """Isomorphism witness, with cheap invariant prefilters before search."""
-    if A.n != B.n:
-        return None
-    if _degree_profile(A) != _degree_profile(B):
-        return None
-    return exists_map(A, B, ISOMORPHISM, budget)
-
-
-def are_isomorphic(A: Poset, B: Poset, budget: int | None = DEFAULT_BUDGET) -> bool:
-    return isomorphism(A, B, budget) is not None
 
 
 def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
@@ -318,72 +263,6 @@ def canonical_key(P: Poset) -> tuple[int, ...]:
     return canon.up
 
 
-# --- ascending-chain replay -------------------------------------------------
-
-NOT_AN_IDEAL_OF_CHAINS = "NotAnIdealOfChains"
-NOT_STRICTLY_ABOVE = "NotStrictlyAbove"
-CHAIN_EXCEEDS_POSET = "ChainExceedsPoset"
-
-
-class AssignUndefined(Exception):
-    """The replay reached an ideal the assignment does not cover."""
-
-
-@dataclass(frozen=True)
-class KurepaStep:
-    ideal: int           # mask over P: downset of the previously produced elements
-    element: int | None  # assign's answer at this ideal; None on a failing step
-    display: str         # printable form of the ideal
-
-
-@dataclass(frozen=True)
-class KurepaTrace:
-    steps: tuple[KurepaStep, ...]
-    reason: str
-    fail_step: int
-
-    @property
-    def displays(self) -> tuple[str, ...]:
-        return tuple(s.display for s in self.steps)
-
-
-def kurepa_chain(P: Poset, assign: Callable[[int], int]) -> KurepaTrace:
-    """Run the ascending-ideal recursion driven by an element assignment.
-
-    ``assign`` is a partial map from chain-generated ideals of P (masks) to
-    elements of P; raising LookupError surfaces as AssignUndefined.
-
-    The recursion's value at step k is the downset x_k of all previously
-    assigned elements.  Each x_k must be a chain-generated ideal (else the
-    run fails with NotAnIdealOfChains at step k) and must strictly exceed
-    its predecessor (else NotStrictlyAbove at step k: the last assigned
-    element pushed the ideal nowhere).  Every x_k gets a trace step, the
-    failing one included, with its assigned element where one was taken.
-    ChainExceedsPoset guards the impossible case of the ideal outgrowing
-    the poset; a total assignment always fails earlier, which is the point.
-    """
-    from .completions import chain_ideals  # deferred: completions imports this module
-
-    fam = set(chain_ideals(P, include_empty=True).sets)
-    steps: list[KurepaStep] = []
-    produced: list[int] = []
-    prev = None
-    k = 0
-    while True:
-        if k > P.n + 1:
-            return KurepaTrace(tuple(steps), CHAIN_EXCEEDS_POSET, k)
-        d = down_closure(P, mask_of(produced))
-        if d not in fam:
-            steps.append(KurepaStep(d, None, render_elemset(P, d)))
-            return KurepaTrace(tuple(steps), NOT_AN_IDEAL_OF_CHAINS, k)
-        if prev is not None and d == prev:
-            steps.append(KurepaStep(d, None, render_elemset(P, d)))
-            return KurepaTrace(tuple(steps), NOT_STRICTLY_ABOVE, k)
-        try:
-            elem = assign(d)
-        except LookupError as exc:
-            raise AssignUndefined(f"assignment undefined on ideal mask {d:#x}") from exc
-        steps.append(KurepaStep(d, elem, render_elemset(P, d)))
-        produced.append(elem)
-        prev = d
-        k += 1
+def are_isomorphic(A: Poset, B: Poset) -> bool:
+    """Whether A and B are isomorphic: whether their canonical forms agree."""
+    return canonical_key(A) == canonical_key(B)

@@ -103,10 +103,6 @@ def cnf_mul(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
     return out
 
 
-def is_limit(a: CnfOrdinal) -> bool:
-    return bool(a.terms) and not a.terms[-1][0].is_zero
-
-
 def id_order_type(a: CnfOrdinal) -> CnfOrdinal:
     """Order type of the chain of nonempty ideals of the chain a.
 
@@ -137,16 +133,6 @@ class ChainDescriptor:
     def __post_init__(self):
         if self.cof not in (COF_EMPTY, COF_HAS_MAX) and not _REGULAR_RE.match(self.cof):
             raise ValueError(f"bad cofinality tag {self.cof!r}")
-
-
-def cofinality(a: CnfOrdinal) -> ChainDescriptor:
-    """empty for 0, has_max for successors, w for every nonzero limit
-    (every limit below epsilon_0 has countable cofinality)."""
-    if a.is_zero:
-        return ChainDescriptor(COF_EMPTY)
-    if not is_limit(a):
-        return ChainDescriptor(COF_HAS_MAX)
-    return ChainDescriptor("w")
 
 
 def product_has_cofinal_chain(chains: list[ChainDescriptor]) -> bool:

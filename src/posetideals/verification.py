@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import Callable
 
 from .algebra import classify, semilattice_homs, subsemilattices, substructure
 from .completions import (
@@ -21,7 +22,6 @@ from .completions import (
     downset_masks,
     downsets,
     ideals,
-    iterate_id,
     principal_embedding,
     x_down,
 )
@@ -29,16 +29,12 @@ from .morphisms import (
     DEFAULT_BUDGET,
     ISOMORPHISM,
     ISOTONE,
-    NOT_AN_IDEAL_OF_CHAINS,
     STRICTLY_ISOTONE,
     BudgetExceeded,
-    KurepaTrace,
     MonotoneMap,
-    are_isomorphic,
     canonical_form,
     exists_map,
     iter_maps,
-    kurepa_chain,
     map_kind,
 )
 from .poset import (
@@ -58,6 +54,7 @@ from .poset import (
     maximal_elements,
     minimal_elements,
     previous_twins,
+    render_elemset,
 )
 
 HOLDS = "holds"
@@ -255,14 +252,18 @@ def check_corollary_3_2(P: Poset, instance: str = "adhoc",
 
 
 def check_acc(P: Poset, instance: str = "adhoc") -> CheckReport:
-    """Finite posets satisfy the ascending chain condition, so the
-    principal-downset map is an isomorphism onto the nonempty ideals, the
-    first stage, and iterating the completion from there goes nowhere new."""
-    emb = principal_embedding(P)
-    if emb.kind != ISOMORPHISM:
-        return CheckReport("acc", instance, FAILS, {"kind": emb.kind})
-    if not are_isomorphic(iterate_id(emb.target, 2), P):
-        return CheckReport("acc", instance, FAILS, {"stage": 3})
+    """Finite posets satisfy the ascending chain condition, so P is
+    isomorphic to id^3(P), its third nonempty-ideal completion.
+
+    Each stage's principal-downset map onto the next stage must be an
+    isomorphism, as map_kind verifies it; the three compose to P ~ id^3(P).
+    The first stage k = 1, 2, 3 whose map is not reports its kind."""
+    stage = P
+    for k in (1, 2, 3):
+        emb = principal_embedding(stage)
+        if emb.kind != ISOMORPHISM:
+            return CheckReport("acc", instance, FAILS, {"stage": k, "kind": emb.kind})
+        stage = emb.target
     return CheckReport("acc", instance, HOLDS)
 
 
@@ -322,14 +323,6 @@ def build_atoms_lattice(k: int) -> tuple[Poset, MonotoneMap]:
     return M, MonotoneMap(M, F.order, tuple(image), kind)
 
 
-def kurepa_atoms_trace(k: int = 3) -> tuple[KurepaTrace, MonotoneMap]:
-    """Replay the ascending recursion against the atoms-lattice map."""
-    M, f = build_atoms_lattice(k)
-    F = ideals(M, include_empty=True)
-    table = {F.sets[f.image[x]]: x for x in range(M.n)}
-    return kurepa_chain(M, lambda d: table[d]), f
-
-
 def build_idemb_tower(L: Poset, N: int) -> Poset:
     """Disjoint union of the ideal-completion stages of a lattice, bounded."""
     if L.n == 0 or not classify(L).is_lattice:
@@ -343,6 +336,83 @@ def build_idemb_tower(L: Poset, N: int) -> Poset:
     for _ in range(N):
         stages.append(ideals(stages[-1], include_empty=False).order)
     return adjoin_bounds(disjoint_union(stages))
+
+
+# --- ascending-chain replay ---------------------------------------------------
+
+NOT_AN_IDEAL_OF_CHAINS = "NotAnIdealOfChains"
+NOT_STRICTLY_ABOVE = "NotStrictlyAbove"
+CHAIN_EXCEEDS_POSET = "ChainExceedsPoset"
+
+
+class AssignUndefined(Exception):
+    """The replay reached an ideal the assignment does not cover."""
+
+
+@dataclass(frozen=True)
+class KurepaStep:
+    ideal: int           # mask over P: downset of the previously produced elements
+    element: int | None  # assign's answer at this ideal; None on a failing step
+    display: str         # printable form of the ideal
+
+
+@dataclass(frozen=True)
+class KurepaTrace:
+    steps: tuple[KurepaStep, ...]
+    reason: str
+    fail_step: int
+
+    @property
+    def displays(self) -> tuple[str, ...]:
+        return tuple(s.display for s in self.steps)
+
+
+def kurepa_chain(P: Poset, assign: Callable[[int], int]) -> KurepaTrace:
+    """Run the ascending-ideal recursion driven by an element assignment.
+
+    ``assign`` is a partial map from chain-generated ideals of P (masks) to
+    elements of P; raising LookupError surfaces as AssignUndefined.
+
+    The recursion's value at step k is the downset x_k of all previously
+    assigned elements.  Each x_k must be a chain-generated ideal (else the
+    run fails with NotAnIdealOfChains at step k) and must strictly exceed
+    its predecessor (else NotStrictlyAbove at step k: the last assigned
+    element pushed the ideal nowhere).  Every x_k gets a trace step, the
+    failing one included, with its assigned element where one was taken.
+    ChainExceedsPoset guards the impossible case of the ideal outgrowing
+    the poset; a total assignment always fails earlier, which is the point.
+    """
+    fam = set(chain_ideals(P, include_empty=True).sets)
+    steps: list[KurepaStep] = []
+    produced: list[int] = []
+    prev = None
+    k = 0
+    while True:
+        if k > P.n + 1:
+            return KurepaTrace(tuple(steps), CHAIN_EXCEEDS_POSET, k)
+        d = down_closure(P, mask_of(produced))
+        if d not in fam:
+            steps.append(KurepaStep(d, None, render_elemset(P, d)))
+            return KurepaTrace(tuple(steps), NOT_AN_IDEAL_OF_CHAINS, k)
+        if prev is not None and d == prev:
+            steps.append(KurepaStep(d, None, render_elemset(P, d)))
+            return KurepaTrace(tuple(steps), NOT_STRICTLY_ABOVE, k)
+        try:
+            elem = assign(d)
+        except LookupError as exc:
+            raise AssignUndefined(f"assignment undefined on ideal mask {d:#x}") from exc
+        steps.append(KurepaStep(d, elem, render_elemset(P, d)))
+        produced.append(elem)
+        prev = d
+        k += 1
+
+
+def kurepa_atoms_trace(k: int = 3) -> tuple[KurepaTrace, MonotoneMap]:
+    """Replay the ascending recursion against the atoms-lattice map."""
+    M, f = build_atoms_lattice(k)
+    F = ideals(M, include_empty=True)
+    table = {F.sets[f.image[x]]: x for x in range(M.n)}
+    return kurepa_chain(M, lambda d: table[d]), f
 
 
 # --- the downset-operator comparison suite ------------------------------------

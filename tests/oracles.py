@@ -193,7 +193,9 @@ def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,
                         budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
     """The per-candidate map search iter_maps used before candidate masks,
     kept verbatim: each candidate is tested against every earlier assigned
-    element.  Its yield order and budget accounting are iter_maps' contract.
+    element.  Its yield order and budget accounting are iter_maps' contract
+    for the two classes iter_maps searches; it keeps all four, and its
+    isomorphism search backs isomorphic_naive.
 
     All maps A -> B satisfying the class predicate, as image tuples.
 
@@ -262,6 +264,12 @@ def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,
                 img[s] = -1
 
     yield from search(0)
+
+
+def isomorphic_naive(A: Poset, B: Poset) -> bool:
+    """Is there an isomorphism A -> B?  Decided by search, with no
+    canonical labelling involved."""
+    return next(iter_maps_reference(A, B, ISOMORPHISM, None), None) is not None
 
 
 def semilattice_homs_naive(A, B, surjective: bool) -> set[tuple[int, ...]]:

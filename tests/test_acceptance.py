@@ -21,12 +21,7 @@ from posetideals import (
     principal_embedding,
 )
 from posetideals.algebra import LATTICE, UPPER, classify
-from posetideals.morphisms import (
-    ISOMORPHISM,
-    NOT_AN_IDEAL_OF_CHAINS,
-    STRICTLY_ISOTONE,
-    are_isomorphic,
-)
+from posetideals.morphisms import ISOMORPHISM, STRICTLY_ISOTONE, are_isomorphic
 from posetideals.ordinals import (
     ZERO,
     cnf_str,
@@ -36,6 +31,7 @@ from posetideals.ordinals import (
     product_has_cofinal_chain,
 )
 from posetideals.verification import (
+    NOT_AN_IDEAL_OF_CHAINS,
     build_atoms_lattice,
     chains_battery,
     check_lemma_5_1,

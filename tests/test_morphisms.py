@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee
 from oracles import (
     canonical_form_naive,
+    isomorphic_naive,
     isotone_images_naive,
     iter_maps_reference,
     map_kind_naive,
@@ -23,23 +24,24 @@ from posetideals import (
     exists_map,
     generate_corpus,
     ideals,
-    isomorphism,
     iter_maps,
     kurepa_chain,
     map_kind,
 )
 from posetideals.morphisms import (
-    CHAIN_EXCEEDS_POSET,
     EMBEDDING,
     ISOMORPHISM,
     ISOTONE,
     MAP_KINDS,
-    NOT_AN_IDEAL_OF_CHAINS,
-    NOT_STRICTLY_ABOVE,
     STRICTLY_ISOTONE,
-    AssignUndefined,
 )
 from posetideals.poset import Poset, disjoint_union
+from posetideals.verification import (
+    CHAIN_EXCEEDS_POSET,
+    NOT_AN_IDEAL_OF_CHAINS,
+    NOT_STRICTLY_ABOVE,
+    AssignUndefined,
+)
 
 
 def test_map_kind_ladder():
@@ -74,9 +76,10 @@ def test_iter_maps_counts_and_order():
     assert set(got) == isotone_images_naive(chain(2), diamond())
     assert len(got) == 9
     assert got == sorted(got)  # chain source: assignment order is the identity
-    assert list(iter_maps(chain(2), chain(2), ISOMORPHISM)) == [(0, 1)]
-    assert list(iter_maps(antichain(2), antichain(2), ISOMORPHISM)) \
-        == [(0, 1), (1, 0)]
+    # the two strongest classes are classified (map_kind), never searched
+    for kind in (EMBEDDING, ISOMORPHISM):
+        with pytest.raises(ValueError):
+            list(iter_maps(chain(2), chain(2), kind))
 
 
 @settings(max_examples=30)
@@ -110,7 +113,7 @@ def test_iter_maps_against_the_reference(corpus4):
     exhausted = 0
     for A in sources:
         for B in targets:
-            for kind in MAP_KINDS:
+            for kind in (ISOTONE, STRICTLY_ISOTONE):
                 for budget in (None, 0, 1, 2, 4, 9, 23, 60):
                     want = _run_maps(iter_maps_reference(A, B, kind, budget))
                     assert _run_maps(iter_maps(A, B, kind, budget)) == want, \
@@ -122,11 +125,10 @@ def test_iter_maps_against_the_reference(corpus4):
 def test_iter_maps_empty_cases():
     E = Poset(0, ())
     assert list(iter_maps(E, diamond(), ISOTONE)) == [()]
-    assert list(iter_maps(E, E, ISOMORPHISM)) == [()]
-    assert list(iter_maps(E, diamond(), ISOMORPHISM)) == []
     assert list(iter_maps(diamond(), E, ISOTONE)) == []
-    with pytest.raises(ValueError):
-        list(iter_maps(E, E, "weird"))
+    for kind in (EMBEDDING, ISOMORPHISM, "weird"):
+        with pytest.raises(ValueError):
+            list(iter_maps(E, E, kind))
 
 
 def test_budget_raises():
@@ -141,27 +143,18 @@ def test_exists_map_reports_strongest_kind():
     w = exists_map(chain(2), chain(2), STRICTLY_ISOTONE)
     assert w.image == (0, 1) and w.kind == ISOMORPHISM
     assert exists_map(diamond(), chain(2), STRICTLY_ISOTONE) is None
-    assert w(0) == 0 and w(1) == 1
-
-
-def test_isomorphism_finds_witness_and_prefilters():
-    D = diamond()
-    Q = relabel(D, (3, 1, 2, 0))
-    w = isomorphism(D, Q)
-    assert w is not None and w.kind == ISOMORPHISM
-    assert all(D.leq(i, j) == Q.leq(w(i), w(j)) for i in range(4) for j in range(4))
-    assert isomorphism(D, vee()) is None          # size filter
-    assert isomorphism(D, antichain(4)) is None   # degree filter
-    assert are_isomorphic(Poset(0, ()), Poset(0, ()))
+    assert w.image[0] == 0 and w.image[1] == 1
 
 
 def test_corpus_members_pairwise_nonisomorphic(corpus4):
     reps = [P for _, P in corpus4.items()]
     keys = [canonical_key(P) for P in reps]
     assert len(set(keys)) == len(reps)
+    # the isomorphism search, not the canonical labelling, tells them apart
     for i, P in enumerate(reps):
         for Q in reps[i + 1:]:
-            assert not are_isomorphic(P, Q)
+            assert not isomorphic_naive(P, Q)
+    assert are_isomorphic(Poset(0, ()), Poset(0, ()))
 
 
 @settings(max_examples=60)
@@ -173,7 +166,7 @@ def test_canonical_form_is_invariant(triple):
     assert sorted(perm) == list(range(P.n))
     assert all(P.leq(perm[i], perm[j]) == canon.leq(i, j)
                for i in range(P.n) for j in range(P.n))
-    assert are_isomorphic(P, canon)
+    assert isomorphic_naive(P, canon)
 
 
 def test_canonical_form_against_the_permutation_scan(corpus5):

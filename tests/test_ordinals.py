@@ -19,9 +19,7 @@ from posetideals import (
     cnf_mul,
     cnf_parse,
     cnf_str,
-    cofinality,
     id_order_type,
-    is_limit,
     product_has_cofinal_chain,
 )
 from posetideals.ordinals import (
@@ -64,10 +62,9 @@ def test_constructor_validation():
 
 
 def test_basic_predicates():
-    assert ZERO.is_zero and ZERO.is_finite and not is_limit(ZERO)
-    assert ONE.is_finite and not is_limit(ONE)
-    assert not OMEGA.is_finite and is_limit(OMEGA)
-    assert not is_limit(W_PLUS_1) and is_limit(W_TIMES_2) and is_limit(W_SQUARED)
+    assert ZERO.is_zero and ZERO.is_finite
+    assert ONE.is_finite
+    assert not OMEGA.is_finite
     assert int(cnf_from_int(7)) == 7 and int(ZERO) == 0
     with pytest.raises(ValueError):
         int(OMEGA)
@@ -190,20 +187,10 @@ def test_id_order_type_matches_truncations():
 # --- cofinality descriptors -----------------------------------------------------
 
 
-def test_cofinality_classes():
-    assert cofinality(ZERO).cof == COF_EMPTY
-    assert cofinality(cnf_from_int(9)).cof == COF_HAS_MAX
-    assert cofinality(W_PLUS_1).cof == COF_HAS_MAX
-    assert cofinality(OMEGA).cof == "w"
-    assert cofinality(W_SQUARED).cof == "w"
-    assert cofinality(W_TIMES_2).cof == "w"
-
-
 def test_descriptor_validation_and_labels():
     assert ChainDescriptor("w1").cof == "w1"
     with pytest.raises(ValueError):
         ChainDescriptor("omega")
-    assert cofinality(OMEGA) == ChainDescriptor("w")
 
 
 def test_parse_descriptor():

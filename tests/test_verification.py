@@ -27,7 +27,14 @@ from posetideals import (
     run_suite,
     verification,
 )
-from posetideals.morphisms import STRICTLY_ISOTONE, are_isomorphic, canonical_key
+from posetideals.morphisms import (
+    EMBEDDING,
+    STRICTLY_ISOTONE,
+    MonotoneMap,
+    are_isomorphic,
+    canonical_key,
+    map_kind,
+)
 from posetideals.poset import adjoin_bounds, induced
 from posetideals.verification import (
     FAILS,
@@ -141,6 +148,27 @@ def test_corollary_3_2_check():
 def test_acc_check(corpus4):
     for iid, P in corpus4.items():
         assert check_acc(P, iid).verdict == HOLDS
+
+
+@pytest.mark.parametrize("bad", [1, 2, 3])
+def test_acc_reports_the_first_stage_that_is_not_an_isomorphism(monkeypatch, bad):
+    # at stage `bad` the principal downsets go into every ideal, the empty
+    # one included: an embedding one element short of onto
+    real = verification.principal_embedding
+    seen = []
+
+    def principal_embedding(P):
+        seen.append(P)
+        if len(seen) != bad:
+            return real(P)
+        F = ideals(P, include_empty=True)
+        image = tuple(F.index(P.down[x]) for x in range(P.n))
+        return MonotoneMap(P, F.order, image, map_kind(P, F.order, image))
+
+    monkeypatch.setattr(verification, "principal_embedding", principal_embedding)
+    r = check_acc(diamond(), "d")
+    assert (r.verdict, r.witness) == (FAILS, {"stage": bad, "kind": EMBEDDING})
+    assert len(seen) == bad  # no stage past the first failure is built
 
 
 def test_chain_bundle_shape():
