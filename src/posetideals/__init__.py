@@ -61,6 +61,7 @@ from .verification import (
     check_corollary_3_2,
     check_lemma_5_1,
     check_theorem_2_1,
+    check_theorem_2_1_id,
     check_theorem_3_1,
     generate_corpus,
     kurepa_atoms_trace,

@@ -291,6 +291,35 @@ def linear_extension(P: Poset) -> tuple[int, ...]:
     return tuple(sorted(range(P.n), key=[row.bit_count() for row in P.down].__getitem__))
 
 
+def heights(P: Poset) -> list[int]:
+    """Entry s is the height of s: the number of elements below s on a
+    longest chain ending at s, 0 for a minimal element.
+
+    Peels minimal layers, starting from all of P.  The elements strictly
+    above some member of an up-set are its non-minimal members, and they
+    form an up-set again, so each layer costs one OR of strict up-rows per
+    remaining element; the elements peeled k-th have height k."""
+    out = [0] * P.n
+    strict = [row ^ 1 << i for i, row in enumerate(P.up)]
+    rest = P.full_mask
+    k = 0
+    while rest:
+        above = 0
+        m = rest
+        while m:
+            low = m & -m
+            above |= strict[low.bit_length() - 1]
+            m ^= low
+        layer = rest ^ above
+        while layer:
+            low = layer & -layer
+            out[low.bit_length() - 1] = k
+            layer ^= low
+        rest = above
+        k += 1
+    return out
+
+
 def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
     """Stable colour refinement of P, and every round's signature table.
 

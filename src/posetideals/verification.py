@@ -27,6 +27,7 @@ from .completions import (
 )
 from .morphisms import (
     DEFAULT_BUDGET,
+    EMBEDDING,
     ISOMORPHISM,
     ISOTONE,
     STRICTLY_ISOTONE,
@@ -157,7 +158,13 @@ def generate_corpus(max_n: int = 5, ceiling: int = CORPUS_CEILING) -> Corpus:
 
 def check_theorem_2_1(P: Poset, instance: str = "adhoc",
                       budget: int | None = DEFAULT_BUDGET) -> CheckReport:
-    """No strictly isotone map from the chain-generated ideals of P into P."""
+    """No strictly isotone map from the chain-generated ideals of P into P.
+
+    The family holds the empty ideal and the down-set of every element,
+    so the empty ideal below the down-sets of a longest chain of P is a
+    chain one longer than P's longest.  iter_maps' height bound therefore
+    ends every finite search at the root without charging a node, and the
+    verdict is never unknown."""
     F = chain_ideals(P, include_empty=True)
     try:
         w = exists_map(F.order, P, STRICTLY_ISOTONE, budget=budget)
@@ -167,6 +174,28 @@ def check_theorem_2_1(P: Poset, instance: str = "adhoc",
         return CheckReport("thm21", instance, HOLDS)
     return CheckReport("thm21", instance, FAILS,
                        {"image": list(w.image), "family": list(F.sets)})
+
+
+def check_theorem_2_1_id(P: Poset, instance: str = "adhoc",
+                         budget: int | None = DEFAULT_BUDGET) -> CheckReport:
+    """Negative control for thm21: with the nonempty ideals id(P) in place
+    of the chain-generated ideals, a strictly isotone map into P exists.
+
+    A finite P has only principal ideals, so id(P) is isomorphic to P and
+    the same height-bounded search thm21 runs must find a map; fails here
+    means that search lost a real witness.  The witness is re-checked by
+    map_kind.  The empty poset has no nonempty ideal: vacuous."""
+    if P.n == 0:
+        return CheckReport("thm21-id", instance, VACUOUS)
+    F = ideals(P, include_empty=False)
+    try:
+        w = exists_map(F.order, P, STRICTLY_ISOTONE, budget=budget)
+    except BudgetExceeded:
+        return CheckReport("thm21-id", instance, UNKNOWN, {"budget": budget})
+    kind = None if w is None else map_kind(F.order, P, w.image)
+    if kind not in (STRICTLY_ISOTONE, EMBEDDING, ISOMORPHISM):
+        return CheckReport("thm21-id", instance, FAILS)
+    return CheckReport("thm21-id", instance, HOLDS, {"image": list(w.image)})
 
 
 def check_theorem_3_1(S: Poset, instance: str = "adhoc") -> CheckReport:
@@ -200,8 +229,11 @@ def check_corollary_2_3_hypothesis(P: Poset, instance: str = "adhoc",
 
     Finite posets can never satisfy this: prefixing a strictly smaller
     element to the image of a longest chain would overrun the longest
-    chain.  The expected verdict is therefore vacuous; an actual witness
-    is reported as fails so it gets investigated rather than celebrated.
+    chain.  That is iter_maps' height bound: the up-set of a nonminimal x
+    has no chain as long as P's longest, so every search ends at the root
+    without charging a node, and the verdict is never unknown.  The
+    expected verdict is therefore vacuous; an actual witness is reported
+    as fails so it gets investigated rather than celebrated.
     """
     mins = minimal_elements(P)
     tried = 0
@@ -554,9 +586,9 @@ def check_kurepa_atoms(k: int = 3) -> CheckReport:
 
 # --- suites -------------------------------------------------------------------
 
-SUITES = ("thm21", "thm31", "cor23", "cor32", "lemma51", "acc", "kurepa")
+SUITES = ("thm21", "thm31", "cor23", "cor32", "lemma51", "acc", "kurepa", "thm21-id")
 # the suites with one report per corpus instance
-PER_INSTANCE = ("thm21", "cor23", "cor32", "acc")
+PER_INSTANCE = ("thm21", "cor23", "cor32", "acc", "thm21-id")
 
 
 def chains_battery(max_len: int = 3) -> list[Poset]:
@@ -592,6 +624,8 @@ def run_suite(name: str, max_n: int = 5, budget: int | None = DEFAULT_BUDGET,
             out.append(check_corollary_3_2(P, iid, budget))
         elif name == "acc":
             out.append(check_acc(P, iid))
+        elif name == "thm21-id":
+            out.append(check_theorem_2_1_id(P, iid, budget))
     return out
 
 

@@ -54,6 +54,18 @@ def is_chain_naive(P, s: int) -> bool:
     return all(P.leq(a, b) or P.leq(b, a) for a in elems for b in elems)
 
 
+def heights_naive(P) -> list[int]:
+    """Entry s is the number of elements below s on a longest chain ending
+    at s, found by enumerating every subset of P that is a chain."""
+    out = [0] * P.n
+    for s in range(1, 1 << P.n):
+        if is_chain_naive(P, s):
+            elems = members(s)
+            top = next(x for x in elems if all(P.leq(y, x) for y in elems))
+            out[top] = max(out[top], len(elems) - 1)
+    return out
+
+
 def downsets_naive(P) -> set[int]:
     return {s for s in range(1 << P.n) if is_downset_naive(P, s)}
 
@@ -190,12 +202,14 @@ def map_kind_naive(A: Poset, B: Poset, img) -> str | None:
 
 
 def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,
-                        budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
+                        budget: int | None = DEFAULT_BUDGET,
+                        height_bound: bool = False) -> Iterator[tuple[int, ...]]:
     """The per-candidate map search iter_maps used before candidate masks,
-    kept verbatim: each candidate is tested against every earlier assigned
-    element.  Its yield order and budget accounting are iter_maps' contract
-    for the two classes iter_maps searches; it keeps all four, and its
-    isomorphism search backs isomorphic_naive.
+    kept verbatim but for height_bound: each candidate is tested against
+    every earlier assigned element.  Its yields are iter_maps' contract for
+    the two classes iter_maps searches, and with height_bound its budget
+    accounting too; it keeps all four, and its isomorphism search backs
+    isomorphic_naive.
 
     All maps A -> B satisfying the class predicate, as image tuples.
 
@@ -204,6 +218,11 @@ def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,
     particular the first witness) is deterministic.  Every (element,
     candidate) trial costs one budget node; exhausting the budget raises
     BudgetExceeded rather than returning a partial answer.
+
+    With height_bound, a strictly isotone search (or a stronger one) also
+    rejects every candidate lower than its element, by heights_naive, and
+    ends at the root, charging nothing, when A's greatest height exceeds
+    B's: iter_maps' node accounting since it gained the height bound.
     """
     if kind not in MAP_KINDS:
         raise ValueError(f"unknown map class {kind!r}")
@@ -215,6 +234,11 @@ def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,
         return
     if kind == ISOMORPHISM and A.n != B.n:
         return
+    high = height_bound and kind != ISOTONE
+    if high:
+        hA, hB = heights_naive(A), heights_naive(B)
+        if max(hA) > max(hB):
+            return
     order = linear_extension(A)
     img = [-1] * A.n
     nodes = 0
@@ -223,6 +247,8 @@ def iter_maps_reference(A: Poset, B: Poset, kind: str = ISOTONE,
 
     def ok(t: int, cand: int) -> bool:
         s = order[t]
+        if high and hB[cand] < hA[s]:
+            return False
         for t2 in range(t):
             s2 = order[t2]
             f2 = img[s2]

@@ -330,17 +330,22 @@ def test_check_json_reports(capsys):
 
 
 def test_check_budget_exhaustion_exit(capsys):
-    rc, out, _ = run_cli(capsys, "--budget", "1", "check", "--suite", "thm21",
+    rc, out, _ = run_cli(capsys, "--budget", "1", "check", "--suite", "thm21-id",
                          "--max-n", "2")
     assert rc == 3 and "unknown" in out
+    # thm21 and cor23 end at the root of every search, so spend no node
+    for suite in ("thm21", "cor23"):
+        rc, out, _ = run_cli(capsys, "--budget", "0", "check", "--suite", suite,
+                             "--max-n", "2")
+        assert rc == 0 and "unknown" not in out
 
 
 def test_check_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("POSETIDEALS_BUDGET", "1")
-    rc, _, _ = run_cli(capsys, "check", "--suite", "thm21", "--max-n", "2")
+    rc, _, _ = run_cli(capsys, "check", "--suite", "thm21-id", "--max-n", "2")
     assert rc == 3
     monkeypatch.setenv("POSETIDEALS_BUDGET", "100000")
-    rc, _, _ = run_cli(capsys, "check", "--suite", "thm21", "--max-n", "2")
+    rc, _, _ = run_cli(capsys, "check", "--suite", "thm21-id", "--max-n", "2")
     assert rc == 0
 
 
@@ -427,10 +432,10 @@ def test_lemma51_reports_unknown_on_a_spent_budget(capsys):
 # sha256 of stdout, pinned so that a refactor which changes any byte of it
 # fails here; a deliberate change of output updates these digests.
 CHECK_ALL_SHA256 = {
-    ("5", "text"): "3139f804619052cdc2a29a95a25f26694dc05abc9aa20fa017b218f0cb3e1f4f",
-    ("5", "json"): "53bf23d3811e7c15add00348ef9a2bfce283eefa0fdfb63750bc24be0f093791",
-    ("6", "text"): "92c536b0a0f6d055fc7eab501296f48c4caba757aaa85d56b9fd5d2043cbb28b",
-    ("6", "json"): "a4b81d1566d30a013835259d0eba340161805d7f96c92e0f3b5291fae21268bc",
+    ("5", "text"): "f710e62e12fbf8817bffd3d82f47e841e4e8fb88602c814427fc2c24c3797825",
+    ("5", "json"): "24b3d481973a7e6dabd596fbfe581ac331ce61e1f0346b9896d2f7766133eec7",
+    ("6", "text"): "1da2775865c4c4d9d04af9d05828e4f16181052266ebd9c2404f67c374068bb1",
+    ("6", "json"): "f0653d9da5d4231e03c2ccd44514fabed7ea2805175e95973faee2148d85e443",
 }
 COMPLETE_N4_SHA256 = "83ef0503aac663905b6f740435925edbfa6198d223dcdd47cd640ab97c646681"
 GEN_N6_SHA256 = {

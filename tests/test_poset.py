@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee, wedge
 from oracles import (
     covers_naive,
+    heights_naive,
     is_directed_naive,
     is_downset_naive,
     least_naive,
@@ -22,6 +23,7 @@ from posetideals import (
     direct_product,
     disjoint_union,
     from_up_rows,
+    generate_corpus,
     hasse_covers,
 )
 from posetideals.poset import (
@@ -31,6 +33,7 @@ from posetideals.poset import (
     bits,
     bits_desc,
     down_closure,
+    heights,
     induced,
     is_directed,
     least_in,
@@ -212,6 +215,18 @@ def test_linear_extension_is_topological(P):
     pos = {x: t for t, x in enumerate(ext)}
     assert all(pos[i] <= pos[j] for i in range(P.n) for j in range(P.n)
                if P.leq(i, j))
+
+
+def test_heights_match_the_longest_chains():
+    rng = random.Random(5)
+    for _, P in generate_corpus(6).items():
+        h = heights(P)
+        assert h == heights_naive(P)
+        perm = list(range(P.n))
+        rng.shuffle(perm)
+        Q = relabel(P, perm)
+        assert heights(Q) == heights_naive(Q)
+        assert [heights(Q)[perm[i]] for i in range(P.n)] == h
 
 
 def test_render_elemset():

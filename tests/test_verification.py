@@ -20,6 +20,7 @@ from posetideals import (
     check_corollary_3_2,
     check_lemma_5_1,
     check_theorem_2_1,
+    check_theorem_2_1_id,
     check_theorem_3_1,
     classify,
     generate_corpus,
@@ -29,6 +30,7 @@ from posetideals import (
 )
 from posetideals.morphisms import (
     EMBEDDING,
+    ISOTONE,
     STRICTLY_ISOTONE,
     MonotoneMap,
     are_isomorphic,
@@ -107,8 +109,38 @@ def test_corpus_ceiling():
 def test_theorem_2_1_check():
     assert check_theorem_2_1(diamond()).verdict == HOLDS
     assert check_theorem_2_1(Poset(0, ())).verdict == HOLDS
-    r = check_theorem_2_1(chain(3), budget=1)
+    # the height bound settles it at the root: not one node is spent
+    assert check_theorem_2_1(chain(3), budget=0).verdict == HOLDS
+
+
+def test_theorem_2_1_id_control():
+    r = check_theorem_2_1_id(diamond(), "d")
+    assert r.verdict == HOLDS and r.witness == {"image": [0, 1, 1, 3]}  # not injective
+    assert check_theorem_2_1_id(Poset(0, ())) == CheckReport("thm21-id", "adhoc", VACUOUS)
+    r = check_theorem_2_1_id(chain(3), budget=1)
     assert r.verdict == UNKNOWN and r.witness == {"budget": 1}
+    # every nonempty class has a witness, re-checked here as well
+    for iid, P in generate_corpus(6).items():
+        r = check_theorem_2_1_id(P, iid)
+        assert r.verdict == (HOLDS if P.n else VACUOUS)
+        if P.n:
+            F = ideals(P, include_empty=False)
+            assert map_kind(F.order, P, r.witness["image"]) not in (None, ISOTONE)
+
+
+def test_theorem_2_1_id_control_catches_a_search_that_finds_nothing(monkeypatch):
+    monkeypatch.setattr(verification, "exists_map", lambda *a, **k: None)
+    assert check_theorem_2_1_id(diamond()).verdict == FAILS
+    assert check_theorem_2_1(diamond()).verdict == HOLDS
+
+
+def test_thm21_and_cor23_spend_no_nodes():
+    # a budget of 0 gives the default budget's reports on every class
+    for iid, P in generate_corpus(6).items():
+        r = check_theorem_2_1(P, iid)
+        assert r.verdict == HOLDS and check_theorem_2_1(P, iid, 0) == r
+        r = check_corollary_2_3_hypothesis(P, iid)
+        assert r.verdict == VACUOUS and check_corollary_2_3_hypothesis(P, iid, 0) == r
 
 
 def test_theorem_2_1_needs_the_extra_point():
@@ -133,7 +165,7 @@ def test_corollary_2_3_check():
     assert r.verdict == VACUOUS and r.witness == {"nonminimal_tried": 3}
     assert check_corollary_2_3_hypothesis(antichain(3)).witness \
         == {"nonminimal_tried": 0}
-    assert check_corollary_2_3_hypothesis(chain(4), budget=1).verdict == UNKNOWN
+    assert check_corollary_2_3_hypothesis(chain(4), budget=0).verdict == VACUOUS
 
 
 def test_corollary_3_2_check():
