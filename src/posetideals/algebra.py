@@ -114,7 +114,8 @@ def _fold_join(T: SemilatticeStructure, xs: Sequence[int]) -> int:
     acc = xs[0]
     for x in xs[1:]:
         nxt = T.join[acc][x]
-        assert nxt is not None
+        if nxt is None:
+            raise AssertionError("a join is missing from an upper semilattice")
         acc = nxt
     return acc
 
@@ -145,5 +146,6 @@ def semilattice_homs(S0: SemilatticeStructure, T: SemilatticeStructure) -> Itera
         if len(set(img)) != B.n:
             continue
         kind = map_kind(A, B, img)
-        assert kind is not None, "join homomorphisms are isotone"
+        if kind is None:
+            raise AssertionError("join homomorphisms are isotone")
         yield MonotoneMap(A, B, img, kind)

@@ -234,7 +234,8 @@ def principal_embedding(P: Poset) -> MonotoneMap:
     fam = ideals(P, include_empty=False)
     image = tuple(fam.index(P.down[x]) for x in range(P.n))
     kind = map_kind(P, fam.order, image)
-    assert kind is not None
+    if kind is None:
+        raise AssertionError("the principal embedding is not isotone")
     return MonotoneMap(P, fam.order, image, kind)
 
 

@@ -174,7 +174,8 @@ def exists_map(A: Poset, B: Poset, kind: str,
     for img in iter_maps(A, B, kind, budget):
         got = map_kind(A, B, img)
         order = MAP_KINDS.index
-        assert got is not None and order(got) >= order(kind), "witness failed its class"
+        if got is None or order(got) < order(kind):
+            raise AssertionError("witness failed its class")
         return MonotoneMap(A, B, img, got)
     return None
 
@@ -204,6 +205,15 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     prefix, so a skipped subtree yields the same codes as a kept one whose
     certificate is lexicographically smaller: the minimum and its least
     certificate are unchanged.
+
+    The search is skipped when it is forced.  Twins share every colour,
+    so each twin class lies inside one colour class, and the two
+    partitions coincide exactly when there are as many twin classes
+    (elements with no previous twin) as colours.  Then the one element a
+    position may take is the lowest-index unplaced element of its colour,
+    so the search has a single leaf: the elements in ascending colour,
+    ties by index.  Sorting by colour gives that leaf directly, and it is
+    the canonical relabeling.
     """
     n = P.n
     if n == 0:
@@ -211,6 +221,27 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     rel = P.up
     colours, _ = refine_colours(P)
     twin = previous_twins(P)
+    if twin.count(0) == len(set(colours)):
+        best_perm = tuple(sorted(range(n), key=colours.__getitem__))
+    else:
+        best_perm = _least_relabelling(rel, colours, twin)
+    new_bit = [0] * n
+    for new, old in enumerate(best_perm):
+        new_bit[old] = 1 << new
+    rows = []
+    for old in best_perm:
+        row = 0
+        for j in bits(rel[old]):
+            row |= new_bit[j]
+        rows.append(row)
+    return Poset(n, tuple(rows), None), best_perm
+
+
+def _least_relabelling(rel: tuple[int, ...], colours: list[int],
+                       twin: list[int]) -> tuple[int, ...]:
+    """canonical_form's branch-and-bound: the least relabelling of the
+    up-rows rel within the colour order, skipping twins out of order."""
+    n = len(rel)
     slots = [[old for old in range(n) if colours[old] == c] for c in sorted(colours)]
     best: list[int] = []
     best_perm: tuple[int, ...] | None = None
@@ -255,17 +286,9 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
             tight = True
 
     rec(False, 0)
-    assert best_perm is not None
-    new_bit = [0] * n
-    for new, old in enumerate(best_perm):
-        new_bit[old] = 1 << new
-    rows = []
-    for old in best_perm:
-        row = 0
-        for j in bits(rel[old]):
-            row |= new_bit[j]
-        rows.append(row)
-    return Poset(n, tuple(rows), None), best_perm
+    if best_perm is None:
+        raise AssertionError("the canonical search reached no leaf")
+    return best_perm
 
 
 def canonical_key(P: Poset) -> tuple[int, ...]:

@@ -330,37 +330,45 @@ def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
     changes.  Ranks of sorted signatures make the colours, and their
     order, invariant under isomorphism.  Each round refines the previous
     partition, so the loop settles within n + 1 rounds.
+
+    A signature begins with the element's old colour, so a round whose
+    table has exactly one entry per old colour ranks every element by its
+    old colour: that round changes nothing, and the loop stops at it,
+    having recorded its table.  The empty poset has no colour, and its
+    one round has an empty table.
     """
     n = P.n
     below = [row ^ 1 << i for i, row in enumerate(P.down)]
     above = [row ^ 1 << i for i, row in enumerate(P.up)]
     colours = [0] * n
-    classes = [P.full_mask]  # classes[c]: mask of the elements coloured c
+    k = min(n, 1)  # the number of colours
+    # with one colour, a signature is two counts
+    sigs = [(0, (0,) * b.bit_count(), (0,) * a.bit_count()) for b, a in zip(below, above)]
     rounds = []
     for _ in range(n + 1):
+        table = sorted(set(sigs))
+        rounds.append(table)
+        if len(table) == k:
+            break
+        rank = {s: c for c, s in enumerate(table)}
+        colours = [rank[s] for s in sigs]
+        k = len(table)
+        classes = [0] * k  # classes[c]: mask of the elements coloured c
+        for i, c in enumerate(colours):
+            classes[c] |= 1 << i
         sigs = []
         for i in range(n):
             # sorted colour tuples, built from one popcount per class
             b, a = below[i], above[i]
             sb = sa = ()
             for c, m in enumerate(classes):
-                k = (b & m).bit_count()
-                if k:
-                    sb += (c,) * k
-                k = (a & m).bit_count()
-                if k:
-                    sa += (c,) * k
+                j = (b & m).bit_count()
+                if j:
+                    sb += (c,) * j
+                j = (a & m).bit_count()
+                if j:
+                    sa += (c,) * j
             sigs.append((colours[i], sb, sa))
-        table = sorted(set(sigs))
-        rounds.append(table)
-        rank = {s: k for k, s in enumerate(table)}
-        nxt = [rank[s] for s in sigs]
-        if nxt == colours:
-            break
-        colours = nxt
-        classes = [0] * len(table)
-        for i, c in enumerate(colours):
-            classes[c] |= 1 << i
     return colours, rounds
 
 

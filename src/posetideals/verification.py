@@ -351,7 +351,8 @@ def build_atoms_lattice(k: int) -> tuple[Poset, MonotoneMap]:
         image.append(F.index(M.down[i]))  # atom a_i -> downset of a_{i-1}
     image.append(F.index(M.full_mask))
     kind = map_kind(M, F.order, tuple(image))
-    assert kind is not None
+    if kind is None:
+        raise AssertionError("the atom assignment is not isotone")
     return M, MonotoneMap(M, F.order, tuple(image), kind)
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,11 @@ def corpus5():
     return generate_corpus(5)
 
 
+@pytest.fixture(scope="session")
+def corpus6():
+    return generate_corpus(6)
+
+
 @st.composite
 def posets(draw, max_n: int = 5) -> Poset:
     """Random poset: a relation on naturally ordered points, transitively
@@ -79,6 +85,18 @@ def relabel(P: Poset, perm) -> Poset:
             if P.leq(i, j):
                 rows[perm[i]] |= 1 << perm[j]
     return from_up_rows(rows)
+
+
+def seeded_relabelings(corpus, copies: int, seed: int) -> list[Poset]:
+    """Every class of the corpus under `copies` relabelings drawn from seed."""
+    rng = random.Random(seed)
+    out = []
+    for _, P in corpus.items():
+        for _ in range(copies):
+            perm = list(range(P.n))
+            rng.shuffle(perm)
+            out.append(relabel(P, perm))
+    return out
 
 
 @st.composite

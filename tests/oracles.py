@@ -24,7 +24,7 @@ from posetideals.morphisms import (
     canonical_form,
 )
 from posetideals.ordinals import ZERO, cnf_from_int
-from posetideals.poset import Poset, bits, linear_extension
+from posetideals.poset import Poset, bits, linear_extension, previous_twins
 from posetideals.verification import _extend_by_maximal
 
 
@@ -428,6 +428,104 @@ def canonical_form_naive(P) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rows = tuple(sum(1 << j for j in range(n) if P.leq(perm[i], perm[j]))
                  for i in range(n))
     return rows, perm
+
+
+def refine_colours_reference(P: Poset) -> tuple[list[int], list[list[tuple]]]:
+    """poset.refine_colours as it was before its stopping rule: every round
+    ranks its signatures and stops once no colour changed, and round 0 is
+    built like any other round, from one class."""
+    n = P.n
+    below = [row ^ 1 << i for i, row in enumerate(P.down)]
+    above = [row ^ 1 << i for i, row in enumerate(P.up)]
+    colours = [0] * n
+    classes = [P.full_mask]  # classes[c]: mask of the elements coloured c
+    rounds = []
+    for _ in range(n + 1):
+        sigs = []
+        for i in range(n):
+            # sorted colour tuples, built from one popcount per class
+            b, a = below[i], above[i]
+            sb = sa = ()
+            for c, m in enumerate(classes):
+                k = (b & m).bit_count()
+                if k:
+                    sb += (c,) * k
+                k = (a & m).bit_count()
+                if k:
+                    sa += (c,) * k
+            sigs.append((colours[i], sb, sa))
+        table = sorted(set(sigs))
+        rounds.append(table)
+        rank = {s: k for k, s in enumerate(table)}
+        nxt = [rank[s] for s in sigs]
+        if nxt == colours:
+            break
+        colours = nxt
+        classes = [0] * len(table)
+        for i, c in enumerate(colours):
+            classes[c] |= 1 << i
+    return colours, rounds
+
+
+def canonical_form_reference(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Canonical up-rows and certificate by morphisms.canonical_form's
+    branch-and-bound, run on every poset: no forced path, and the colours
+    from refine_colours_reference."""
+    n = P.n
+    if n == 0:
+        return (), ()
+    rel = P.up
+    colours, _ = refine_colours_reference(P)
+    twin = previous_twins(P)
+    slots = [[old for old in range(n) if colours[old] == c] for c in sorted(colours)]
+    best: list[int] = []
+    best_perm: tuple[int, ...] = ()
+    perm: list[int] = []
+    codes: list[int] = []
+    used = [False] * n
+    up = [0] * n
+    down = [0] * n
+
+    def rec(tight: bool, placed: int) -> None:
+        # tight: the prefix codes equal best[:t]; otherwise they are less
+        nonlocal best, best_perm
+        t = len(perm)
+        if t == n:
+            if not tight:
+                best = list(codes)
+                best_perm = tuple(perm)
+            return
+        for old in slots[t]:
+            if used[old] or twin[old] & ~placed:
+                continue
+            code = up[old] << t | down[old]
+            if tight and code > best[t]:
+                continue
+            used[old] = True
+            perm.append(old)
+            codes.append(code)
+            row = rel[old]
+            for u in range(n):
+                if not used[u]:
+                    up[u] = up[u] << 1 | rel[u] >> old & 1
+                    down[u] = down[u] << 1 | row >> u & 1
+            rec(tight and code == best[t], placed | 1 << old)
+            for u in range(n):
+                if not used[u]:
+                    up[u] >>= 1
+                    down[u] >>= 1
+            codes.pop()
+            perm.pop()
+            used[old] = False
+            # a leaf below either matched best or replaced it
+            tight = True
+
+    rec(False, 0)
+    new_bit = [0] * n
+    for new, old in enumerate(best_perm):
+        new_bit[old] = 1 << new
+    rows = tuple(sum(new_bit[j] for j in bits(rel[old])) for old in best_perm)
+    return rows, best_perm
 
 
 # --- ordinal models ------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every name a package module imports is one it uses."""
+"""Source guards: every name a package module imports is one it uses, and
+no package module holds an assert statement."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posetideals"
 # __init__.py imports only to re-export
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +39,20 @@ def test_the_guard_flags_what_it_should():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_imports_a_name_it_never_uses(name):
     assert unused_imports((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of the assert statements in a module: python -O strips them,
+    so a result re-check written as one would silently stop running."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_the_assert_guard_flags_what_it_should():
+    source = ("def f(x):\n    assert x, 'kept only without -O'\n"
+              "    if not x:\n        raise AssertionError('kept')\n")
+    assert assert_lines(source) == [2]
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_no_module_holds_an_assert_statement(name):
+    assert assert_lines((PACKAGE / name).read_text(encoding="utf-8")) == []

@@ -7,9 +7,19 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee
+from conftest import (
+    antichain,
+    chain,
+    diamond,
+    posets,
+    relabel,
+    relabelings,
+    seeded_relabelings,
+    vee,
+)
 from oracles import (
     canonical_form_naive,
+    canonical_form_reference,
     isomorphic_naive,
     isotone_images_naive,
     iter_maps_reference,
@@ -28,6 +38,7 @@ from posetideals import (
     kurepa_chain,
     map_kind,
 )
+from posetideals import morphisms
 from posetideals.morphisms import (
     EMBEDDING,
     ISOMORPHISM,
@@ -198,6 +209,36 @@ def test_canonical_form_against_the_permutation_scan(corpus5):
 def test_canonical_form_against_the_permutation_scan_on_random_posets(P):
     canon, cert = canonical_form(P)
     assert (canon.up, cert) == canonical_form_naive(P)
+
+
+def test_canonical_form_against_the_search_on_every_class(corpus6):
+    # the forced path gives the search's own single leaf: representatives
+    # and certificates are those of the search run on every poset
+    for P in seeded_relabelings(corpus6, 3, seed=11):
+        canon, cert = canonical_form(P)
+        assert (canon.up, cert) == canonical_form_reference(P)
+
+
+@pytest.mark.parametrize("P, searched", [
+    (chain(5), False),                            # five colours, five twin classes
+    (antichain(5), False),                        # one colour, one twin class
+    (disjoint_union([chain(2), chain(2)]), True),  # two colours, four twin classes
+], ids=["chain", "antichain", "2+2"])
+def test_canonical_form_searches_only_when_not_forced(monkeypatch, P, searched):
+    calls = []
+    search = morphisms._least_relabelling
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(morphisms, "_least_relabelling", counted)
+    perm = list(range(P.n))
+    random.Random(1).shuffle(perm)
+    Q = relabel(P, perm)
+    canon, cert = canonical_form(Q)
+    assert bool(calls) == searched
+    assert (canon.up, cert) == canonical_form_reference(Q)
 
 
 # --- ascending replay ----------------------------------------------------------

@@ -6,13 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import antichain, chain, diamond, posets, relabel, relabelings, vee, wedge
+from conftest import (
+    antichain,
+    chain,
+    diamond,
+    posets,
+    relabel,
+    relabelings,
+    seeded_relabelings,
+    vee,
+    wedge,
+)
 from oracles import (
     covers_naive,
     heights_naive,
     is_directed_naive,
     is_downset_naive,
     least_naive,
+    refine_colours_reference,
     transitive_closure_naive,
 )
 from posetideals import (
@@ -41,6 +52,7 @@ from posetideals.poset import (
     mask_of,
     maximal_elements,
     minimal_elements,
+    refine_colours,
     render_elemset,
     transitive_closure,
     validate_up_rows,
@@ -227,6 +239,16 @@ def test_heights_match_the_longest_chains():
         Q = relabel(P, perm)
         assert heights(Q) == heights_naive(Q)
         assert [heights(Q)[perm[i]] for i in range(P.n)] == h
+
+
+def test_refine_colours_against_the_reference(corpus6):
+    # the loop stops at the round that confirms the colours, and round 0
+    # is built from two counts; colours and every round's table are those
+    # of the reference, down to the empty poset's one empty round
+    assert refine_colours(Poset(0, ())) == ([], [[]])
+    cases = [Poset(0, ()), Poset(1, (1,))] + seeded_relabelings(corpus6, 3, seed=7)
+    for P in cases:
+        assert refine_colours(P) == refine_colours_reference(P)
 
 
 def test_render_elemset():

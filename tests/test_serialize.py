@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, relabelings
-from posetideals import are_isomorphic, ideals
+from posetideals import Poset, are_isomorphic, ideals
 from posetideals.morphisms import MonotoneMap, map_kind
 from posetideals.serialize import (
     family_order_from_json,
@@ -76,6 +76,15 @@ def test_invariant_hash_separates_small_shapes(corpus4):
     hashes = [invariant_hash(P) for _, P in corpus4.items()]
     assert len(set(hashes)) == len(hashes)
     assert invariant_hash(chain(2)) != invariant_hash(antichain(2))
+
+
+def test_invariant_hash_pins():
+    # the empty poset hashes its single empty round: a refinement that
+    # recorded a second one would change this digest
+    assert invariant_hash(Poset(0, ())) == (
+        "8fc8e2570f1b820836c6f8d5a8aa94dac5e556719357b3e20f3f402f1b4b8f19")
+    assert invariant_hash(Poset(1, (1,))) == (
+        "a0fbd5c5a9ce3c75c8ee5e4f8683a15407fe071309ee4329e266d39bd2fc8465")
 
 
 def test_map_to_json():
