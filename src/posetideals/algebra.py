@@ -1,8 +1,9 @@
 """Semilattice structure detection and semilattice homomorphisms.
 
-classify() decides, per pair, whether least upper bounds and greatest
-lower bounds exist, and tags the poset upper / lower / lattice / neither.
-A poset with no pairs (n <= 1) is vacuously a lattice.
+classify() tabulates the least upper bound of every pair, decides
+whether every pair has a greatest lower bound, and tags the poset
+upper / lower / lattice / neither.  A poset with no pairs (n <= 1) is
+vacuously a lattice.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ NEITHER = "neither"
 
 @dataclass(frozen=True)
 class SemilatticeStructure:
+    """A poset, its join table (None where a pair has no join) and its
+    structure tag.  No meet table is kept: only whether every meet
+    exists is read, through is_lower and is_lattice."""
+
     base: Poset
     join: tuple[tuple[int | None, ...], ...]
-    meet: tuple[tuple[int | None, ...], ...]
     kind: str
 
     @property
@@ -40,25 +44,24 @@ class SemilatticeStructure:
 
 
 def classify(P: Poset) -> SemilatticeStructure:
-    """Join and meet tables plus the structure tag.
+    """The join table plus the structure tag.
 
     Each unordered pair {i, j} is looked at once: its join is the least
-    member of up[i] & up[j] and its meet the greatest of down[i] & down[j]
-    (least_in on the down-rows), written into both (i, j) and (j, i).  The
-    diagonal is i itself.
+    member of up[i] & up[j], written into both (i, j) and (j, i), and the
+    diagonal is i itself.  Its meet, the greatest member of
+    down[i] & down[j] (least_in on the down-rows), is only tested for
+    existence, and no longer once some pair has none.
     """
     n = P.n
     up, down = P.up, P.down
     join = [[None] * n for _ in range(n)]
-    meet = [[None] * n for _ in range(n)]
     join_total = meet_total = True
     for i in range(n):
-        join[i][i] = meet[i][i] = i
+        join[i][i] = i
         for j in range(i + 1, n):
             v = join[i][j] = join[j][i] = least_in(up, up[i] & up[j])
-            w = meet[i][j] = meet[j][i] = least_in(down, down[i] & down[j])
             join_total = join_total and v is not None
-            meet_total = meet_total and w is not None
+            meet_total = meet_total and least_in(down, down[i] & down[j]) is not None
     if join_total and meet_total:
         kind = LATTICE
     elif join_total:
@@ -67,7 +70,7 @@ def classify(P: Poset) -> SemilatticeStructure:
         kind = LOWER
     else:
         kind = NEITHER
-    return SemilatticeStructure(P, tuple(map(tuple, join)), tuple(map(tuple, meet)), kind)
+    return SemilatticeStructure(P, tuple(map(tuple, join)), kind)
 
 
 def substructure(S: SemilatticeStructure, carrier: int) -> SemilatticeStructure:

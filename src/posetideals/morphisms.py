@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .poset import Poset, bits, heights, linear_extension, previous_twins, refine_colours
+from .poset import Poset, bits, height, linear_extension, previous_twins, refine_colours
 
 ISOTONE = "isotone"
 STRICTLY_ISOTONE = "strictly_isotone"
@@ -90,12 +90,12 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
     lowest bit first.
 
     A strictly isotone map sends a chain onto a chain of the same length,
-    so it lowers no element's height (poset.heights).  When A's greatest
-    height exceeds B's, no such map exists and the search ends at the root
-    without charging a node.  Otherwise the bound needs no mask of its
-    own: a non-minimal element has a lower cover one below its height,
-    and every target strictly above that cover's image is at least as
-    high, so forward checking already keeps only high enough targets.
+    so it lowers no element's height.  When A's greatest height
+    (poset.height) exceeds B's, no such map exists and the search ends at
+    the root without charging a node.  Otherwise the bound needs no mask
+    of its own: a non-minimal element has a lower cover one below its
+    height, and every target strictly above that cover's image is at
+    least as high, so forward checking keeps only high enough targets.
 
     Budget nodes are counted per candidate index, as if each target were
     tried in turn: an element is charged one node per target index up to
@@ -112,7 +112,7 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
         return
     if B.n == 0:
         return
-    if kind == STRICTLY_ISOTONE and max(heights(A)) > max(heights(B)):
+    if kind == STRICTLY_ISOTONE and height(A) > height(B):
         return
     full = B.full_mask
     above = B.up if kind == ISOTONE else [row ^ 1 << f for f, row in enumerate(B.up)]

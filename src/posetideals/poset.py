@@ -291,18 +291,18 @@ def linear_extension(P: Poset) -> tuple[int, ...]:
     return tuple(sorted(range(P.n), key=[row.bit_count() for row in P.down].__getitem__))
 
 
-def heights(P: Poset) -> list[int]:
-    """Entry s is the height of s: the number of elements below s on a
-    longest chain ending at s, 0 for a minimal element.
+def height(P: Poset) -> int:
+    """The greatest height in P: the number of elements below the top of a
+    longest chain, so one less than its length; -1 when P is empty.
 
     Peels minimal layers, starting from all of P.  The elements strictly
     above some member of an up-set are its non-minimal members, and they
     form an up-set again, so each layer costs one OR of strict up-rows per
-    remaining element; the elements peeled k-th have height k."""
-    out = [0] * P.n
+    remaining element; the k-th layer peeled holds the elements of
+    height k, and the last one peeled the greatest."""
     strict = [row ^ 1 << i for i, row in enumerate(P.up)]
     rest = P.full_mask
-    k = 0
+    k = -1
     while rest:
         above = 0
         m = rest
@@ -310,14 +310,9 @@ def heights(P: Poset) -> list[int]:
             low = m & -m
             above |= strict[low.bit_length() - 1]
             m ^= low
-        layer = rest ^ above
-        while layer:
-            low = layer & -layer
-            out[low.bit_length() - 1] = k
-            layer ^= low
         rest = above
         k += 1
-    return out
+    return k
 
 
 def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:

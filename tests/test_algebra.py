@@ -29,16 +29,18 @@ def test_classify_named_shapes():
 
 def test_classify_tables():
     S = classify(diamond())
-    assert S.join[1][2] == 3 and S.meet[1][2] == 0
-    assert S.join[0][1] == 1 and S.meet[0][1] == 0
+    assert S.join[1][2] == 3 and S.join[0][1] == 1
     assert S.join[3][3] == 3
     V = classify(vee())
-    assert V.join[1][2] is None and V.meet[1][2] == 0
+    assert V.join[1][2] is None
     assert V.is_lower and not V.is_upper and not V.is_lattice
 
 
 def _assert_classify_matches_the_definitions(P):
+    """The join table, and the kind from which pairs have a join and
+    which have a meet."""
     S = classify(P)
+    joins = meets = True
     for i in range(P.n):
         for j in range(P.n):
             ubs = [m for m in range(P.n) if P.leq(i, m) and P.leq(j, m)]
@@ -46,7 +48,10 @@ def _assert_classify_matches_the_definitions(P):
             assert S.join[i][j] == (least[0] if least else None)
             lbs = [m for m in range(P.n) if P.leq(m, i) and P.leq(m, j)]
             great = [m for m in lbs if all(P.leq(l, m) for l in lbs)]
-            assert S.meet[i][j] == (great[0] if great else None)
+            joins = joins and bool(least)
+            meets = meets and bool(great)
+    assert S.kind == {(True, True): LATTICE, (True, False): UPPER,
+                      (False, True): LOWER, (False, False): NEITHER}[joins, meets]
 
 
 @settings(max_examples=60)

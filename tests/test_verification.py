@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, posets, vee, wedge
-from oracles import all_posets_naive, generate_corpus_reference
+from oracles import all_posets_naive, downsets_naive, generate_corpus_reference
 from posetideals import (
     CapacityExceeded,
     Corpus,
@@ -28,6 +28,7 @@ from posetideals import (
     run_suite,
     verification,
 )
+from posetideals.completions import downset_masks
 from posetideals.morphisms import (
     EMBEDDING,
     ISOTONE,
@@ -170,11 +171,27 @@ def test_corollary_2_3_check():
 
 def test_corollary_3_2_check():
     r = check_corollary_3_2(diamond())
-    assert r.verdict == HOLDS and r.witness == {"downsets": 6, "exhaustive": True}
-    r5 = check_corollary_3_2(chain(5))
-    assert r5.verdict == HOLDS and r5.witness["exhaustive"] is False
-    # the map search runs up to four elements and must agree with the count
-    assert check_corollary_3_2(chain(4)).witness == {"downsets": 5, "exhaustive": True}
+    assert r.verdict == HOLDS and r.witness == {"downsets": 6}
+    assert check_corollary_3_2(chain(5)).witness == {"downsets": 6}
+    # no map is searched, so no budget can run out
+    assert check_corollary_3_2(antichain(3), "a", 0).witness == {"downsets": 8}
+
+
+def test_corollary_3_2_counts_the_downsets(corpus6):
+    for iid, P in corpus6.items():
+        r = check_corollary_3_2(P, iid)
+        assert r.verdict == HOLDS
+        assert r.witness == {"downsets": len(downsets_naive(P))}
+
+
+def test_corollary_3_2_can_fail(monkeypatch):
+    # with P itself missing from the downsets, chain(3) has only three
+    def short(P):
+        return [d for d in downset_masks(P) if d != P.full_mask]
+
+    monkeypatch.setattr(verification, "downset_masks", short)
+    r = check_corollary_3_2(chain(3))
+    assert r.verdict == FAILS and r.witness == {"downsets": 3, "n": 3}
 
 
 def test_acc_check(corpus4):
