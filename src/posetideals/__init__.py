@@ -28,16 +28,6 @@ from .morphisms import (
     iter_maps,
     map_kind,
 )
-from .ordinals import (
-    ChainDescriptor,
-    CnfOrdinal,
-    cnf_add,
-    cnf_mul,
-    cnf_parse,
-    cnf_str,
-    id_order_type,
-    product_has_cofinal_chain,
-)
 from .poset import (
     CapacityExceeded,
     Poset,
@@ -70,3 +60,26 @@ from .verification import (
 )
 
 __version__ = "0.1.0"
+
+# The ordinal calculus is loaded on first use (PEP 562), so that importing
+# the package for any other verb does not pay for it.
+_ORDINALS = frozenset({
+    "ordinals",
+    "ChainDescriptor",
+    "CnfOrdinal",
+    "cnf_add",
+    "cnf_mul",
+    "cnf_parse",
+    "cnf_str",
+    "id_order_type",
+    "product_has_cofinal_chain",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORDINALS:
+        import importlib
+
+        ordinals = importlib.import_module(".ordinals", __name__)
+        return ordinals if name == "ordinals" else getattr(ordinals, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,11 +8,11 @@ vacuously a lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .morphisms import ISOTONE, MonotoneMap, iter_maps, map_kind
 from .poset import Poset, bits, induced, least_in
+from .record import Record, setfield
 
 UPPER = "upper"
 LOWER = "lower"
@@ -20,15 +20,17 @@ LATTICE = "lattice"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class SemilatticeStructure:
+class SemilatticeStructure(Record):
     """A poset, its join table (None where a pair has no join) and its
     structure tag.  No meet table is kept: only whether every meet
     exists is read, through is_lower and is_lattice."""
 
-    base: Poset
-    join: tuple[tuple[int | None, ...], ...]
-    kind: str
+    __slots__ = ("base", "join", "kind")
+
+    def __init__(self, base: Poset, join: tuple[tuple[int | None, ...], ...], kind: str):
+        setfield(self, "base", base)
+        setfield(self, "join", join)
+        setfield(self, "kind", kind)
 
     @property
     def is_upper(self) -> bool:

@@ -17,7 +17,6 @@ import sys
 
 from .completions import chain_ideals, downsets, fdown, ideals, iterate_id
 from .morphisms import DEFAULT_BUDGET, BudgetExceeded
-from .ordinals import cnf_parse, cnf_str, parse_descriptor, product_has_cofinal_chain
 from .poset import CapacityExceeded, PosetError, from_up_rows
 from .serialize import (
     family_order_from_json,
@@ -200,6 +199,9 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_ordinal(args) -> int:
+    # imported here, so that no other verb pays for loading the ordinal calculus
+    from .ordinals import cnf_parse, cnf_str, parse_descriptor, product_has_cofinal_chain
+
     if (args.expr is None) == (args.product is None):
         raise ValueError("ordinal needs exactly one of --expr / --product")
     if args.expr is not None:

@@ -13,7 +13,6 @@ N-bit order, so the cap of 2^14 sets also bounds that order at 32 MB.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .morphisms import MonotoneMap, iter_maps, map_kind
@@ -24,6 +23,7 @@ from .poset import (
     linear_extension,
     render_elemset,
 )
+from .record import Record, setfield
 
 FAMILY_CAP = 1 << 14
 CHAIN_VISIT_BUDGET = 1 << 22
@@ -37,8 +37,7 @@ KIND_FDOWN = "fdown"
 KIND_XDOWN = "xdown"
 
 
-@dataclass(frozen=True)
-class FamilyPoset:
+class FamilyPoset(Record):
     """A family of sets over ``base`` with its inclusion order.
 
     ``order.labels`` are the members' display forms (render_elemset over
@@ -46,10 +45,13 @@ class FamilyPoset:
     family nobody prints pays nothing for them.
     """
 
-    base: Poset
-    sets: tuple[int, ...]  # ascending mask order
-    order: Poset           # inclusion order; element i is sets[i]
-    kind: str
+    __slots__ = ("base", "sets", "order", "kind", "__dict__")
+
+    def __init__(self, base: Poset, sets: tuple[int, ...], order: Poset, kind: str):
+        setfield(self, "base", base)
+        setfield(self, "sets", sets)    # ascending mask order
+        setfield(self, "order", order)  # inclusion order; element i is sets[i]
+        setfield(self, "kind", kind)
 
     @cached_property
     def _index(self) -> dict[int, int]:

@@ -10,10 +10,10 @@ the search never assumes injectivity for that class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
 from .poset import Poset, bits, height, linear_extension, previous_twins, refine_colours
+from .record import Record, setfield
 
 ISOTONE = "isotone"
 STRICTLY_ISOTONE = "strictly_isotone"
@@ -32,12 +32,14 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    source: Poset
-    target: Poset
-    image: tuple[int, ...]
-    kind: str  # strongest class the map satisfies
+class MonotoneMap(Record):
+    __slots__ = ("source", "target", "image", "kind")
+
+    def __init__(self, source: Poset, target: Poset, image: tuple[int, ...], kind: str):
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "image", image)
+        setfield(self, "kind", kind)  # strongest class the map satisfies
 
 
 def map_kind(A: Poset, B: Poset, img) -> str | None:

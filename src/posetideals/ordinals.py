@@ -11,25 +11,25 @@ number here" a type-level fact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import total_ordering
+
+from .record import Record, setfield
 
 
 @total_ordering
-@dataclass(frozen=True)
-class CnfOrdinal:
-    terms: tuple[tuple["CnfOrdinal", int], ...] = ()
+class CnfOrdinal(Record):
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[tuple[CnfOrdinal, int], ...] = ()):
         prev = None
-        for e, c in self.terms:
+        for e, c in terms:
             if not isinstance(e, CnfOrdinal) or not isinstance(c, int) or c < 1:
                 raise ValueError("term must be (CnfOrdinal exponent, coefficient >= 1)")
             if prev is not None and not e < prev:
                 raise ValueError("exponents must be strictly descending")
             prev = e
         # tuples arriving as lists would break hashing
-        object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
+        setfield(self, "terms", tuple(tuple(t) for t in terms))
 
     def __lt__(self, other: "CnfOrdinal") -> bool:
         for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
@@ -119,8 +119,7 @@ COF_HAS_MAX = "has_max"
 _REGULAR_RE = re.compile(r"^w\d*$")
 
 
-@dataclass(frozen=True)
-class ChainDescriptor:
+class ChainDescriptor(Record):
     """A chain known only through its cofinality class.
 
     cof is 'empty', 'has_max', or a regular-cardinal symbol from the
@@ -128,11 +127,12 @@ class ChainDescriptor:
     CnfOrdinal values.
     """
 
-    cof: str
+    __slots__ = ("cof",)
 
-    def __post_init__(self):
-        if self.cof not in (COF_EMPTY, COF_HAS_MAX) and not _REGULAR_RE.match(self.cof):
-            raise ValueError(f"bad cofinality tag {self.cof!r}")
+    def __init__(self, cof: str):
+        if cof not in (COF_EMPTY, COF_HAS_MAX) and not _REGULAR_RE.match(cof):
+            raise ValueError(f"bad cofinality tag {cof!r}")
+        setfield(self, "cof", cof)
 
 
 def product_has_cofinal_chain(chains: list[ChainDescriptor]) -> bool:

@@ -14,9 +14,10 @@ Anything that would enumerate past a configured bound raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import cached_property
-from typing import Iterator, Sequence
+
+from .record import Record, setfield
 
 MAX_ELEMENTS = 64
 
@@ -70,8 +71,7 @@ def mask_of(indices) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(Record):
     """An immutable finite poset.
 
     ``up[i]`` is the bitmask of elements j with i <= j (always including i
@@ -79,9 +79,12 @@ class Poset:
     or a sequence that reads like one; it plays no role in any algorithm.
     """
 
-    n: int
-    up: tuple[int, ...]
-    labels: Sequence[str] | None = None
+    __slots__ = ("n", "up", "labels", "__dict__")
+
+    def __init__(self, n: int, up: tuple[int, ...], labels: Sequence[str] | None = None):
+        setfield(self, "n", n)
+        setfield(self, "up", up)
+        setfield(self, "labels", labels)
 
     @cached_property
     def down(self) -> tuple[int, ...]:

@@ -8,7 +8,6 @@ through json_dumps for byte-stable output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .completions import FamilyPoset
@@ -107,6 +106,8 @@ def invariant_hash(P: Poset) -> str:
     the partition shape alone cannot tell a three-chain from a chain plus
     a point.
     """
+    import hashlib  # imported here: only this function needs it, and it is slow to load
+
     colours, rounds = refine_colours(P)
     payload = json_dumps([P.n, rounds, sorted(colours)])
     return hashlib.sha256(payload.encode()).hexdigest()

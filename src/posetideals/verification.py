@@ -10,12 +10,17 @@ so instead of claiming a verification that never ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import product
-from typing import Callable
 
-from .algebra import classify, semilattice_homs, subsemilattices, substructure
+from .algebra import (
+    SemilatticeStructure,
+    classify,
+    semilattice_homs,
+    subsemilattices,
+    substructure,
+)
 from .completions import (
     FamilyPoset,
     chain_ideals,
@@ -55,6 +60,7 @@ from .poset import (
     previous_twins,
     render_elemset,
 )
+from .record import Record, setfield
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -64,12 +70,14 @@ UNKNOWN = "unknown"
 CORPUS_CEILING = 6
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check: str
-    instance: str
-    verdict: str
-    witness: dict | None = None
+class CheckReport(Record):
+    __slots__ = ("check", "instance", "verdict", "witness")
+
+    def __init__(self, check: str, instance: str, verdict: str, witness: dict | None = None):
+        setfield(self, "check", check)
+        setfield(self, "instance", instance)
+        setfield(self, "verdict", verdict)
+        setfield(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -84,11 +92,13 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class Corpus:
-    max_n: int
-    by_size: tuple[tuple[Poset, ...], ...]
-    provenance: str
+class Corpus(Record):
+    __slots__ = ("max_n", "by_size", "provenance")
+
+    def __init__(self, max_n: int, by_size: tuple[tuple[Poset, ...], ...], provenance: str):
+        setfield(self, "max_n", max_n)
+        setfield(self, "by_size", by_size)
+        setfield(self, "provenance", provenance)
 
     def items(self) -> list[tuple[str, Poset]]:
         out = []
@@ -196,18 +206,23 @@ def check_theorem_2_1_id(P: Poset, instance: str = "adhoc",
     return CheckReport("thm21-id", instance, HOLDS, {"image": list(w.image)})
 
 
-def check_theorem_3_1(S: Poset, instance: str = "adhoc") -> CheckReport:
+def check_theorem_3_1(S: Poset | SemilatticeStructure,
+                      instance: str = "adhoc") -> CheckReport:
     """No subsemilattice of an upper semilattice S admits a surjective
     join-homomorphism onto the ideals of S (empty ideal included).
+
+    S may come as its classify() structure, so that a caller that has
+    already classified it (run_suite does, to pick the upper semilattices)
+    does not classify it again.
 
     A carrier smaller than Id(S) has no surjection onto it, so it is
     skipped before its substructure or Id(S)'s structure is built: the
     same cardinality cut-off semilattice_homs applies at its root.  Every
     finite case is settled that way, |sub| <= |S| < |S| + 1 = |Id(S)|."""
-    SS = classify(S)
+    SS = S if isinstance(S, SemilatticeStructure) else classify(S)
     if not SS.is_upper:
         raise ValueError("S must be an upper semilattice")
-    F = ideals(S, include_empty=True)
+    F = ideals(SS.base, include_empty=True)
     for carrier in subsemilattices(SS):
         if carrier.bit_count() < len(F):
             continue
@@ -369,18 +384,22 @@ class AssignUndefined(Exception):
     """The replay reached an ideal the assignment does not cover."""
 
 
-@dataclass(frozen=True)
-class KurepaStep:
-    ideal: int           # mask over P: downset of the previously produced elements
-    element: int | None  # assign's answer at this ideal; None on a failing step
-    display: str         # printable form of the ideal
+class KurepaStep(Record):
+    __slots__ = ("ideal", "element", "display")
+
+    def __init__(self, ideal: int, element: int | None, display: str):
+        setfield(self, "ideal", ideal)  # mask over P: downset of the elements produced so far
+        setfield(self, "element", element)  # assign's answer at this ideal; None on a failing step
+        setfield(self, "display", display)  # printable form of the ideal
 
 
-@dataclass(frozen=True)
-class KurepaTrace:
-    steps: tuple[KurepaStep, ...]
-    reason: str
-    fail_step: int
+class KurepaTrace(Record):
+    __slots__ = ("steps", "reason", "fail_step")
+
+    def __init__(self, steps: tuple[KurepaStep, ...], reason: str, fail_step: int):
+        setfield(self, "steps", steps)
+        setfield(self, "reason", reason)
+        setfield(self, "fail_step", fail_step)
 
     @property
     def displays(self) -> tuple[str, ...]:
@@ -603,8 +622,9 @@ def run_suite(name: str, max_n: int = 5, budget: int | None = DEFAULT_BUDGET,
         if name == "thm21":
             out.append(check_theorem_2_1(P, iid, budget))
         elif name == "thm31":
-            if classify(P).is_upper:
-                out.append(check_theorem_3_1(P, iid))
+            SS = classify(P)
+            if SS.is_upper:
+                out.append(check_theorem_3_1(SS, iid))
         elif name == "cor23":
             out.append(check_corollary_2_3_hypothesis(P, iid, budget))
         elif name == "cor32":

@@ -614,6 +614,31 @@ def test_module_entry_point():
     assert_matches_module([sys.executable, "-c", wrapper])
 
 
+# Verbs whose modules the package loads only when they run: the ordinal
+# calculus, and hashlib for the invariant hashes of map_to_json.
+LAZY_ARGVS = (
+    ("ordinal", "--expr", "w^2*3 + w + 5"),
+    ("ordinal", "--product", "w,w1"),
+    ("--format", "json", "counterexample", "--name", "atoms", "--k", "3"),
+)
+
+
+@pytest.mark.parametrize("argv", LAZY_ARGVS, ids=["expr", "product", "atoms-json"])
+def test_lazy_imports_load_in_a_fresh_interpreter(capsys, argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    got = run_module(*argv)
+    assert (got.returncode, got.stdout.decode()) == (rc, out) and rc == 0
+
+
+@pytest.mark.parametrize("code", [
+    "from posetideals import CnfOrdinal",
+    "import posetideals; posetideals.ordinals.cnf_parse('w')",
+])
+def test_lazy_package_names_import_in_a_fresh_interpreter(code):
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env())
+    assert (out.returncode, out.stderr) == (0, b"")
+
+
 @pytest.mark.skipif(shutil.which("posetideals") is None,
                     reason="posetideals console script not installed")
 def test_installed_console_script():

@@ -1,7 +1,11 @@
-"""Source guards: every name a package module imports is one it uses, and
-no package module holds an assert statement."""
+"""Source guards: every name a package module imports is one it uses, no
+package module holds an assert statement, and importing the command line
+loads nothing a command may not run."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,28 @@ def test_the_assert_guard_flags_what_it_should():
 @pytest.mark.parametrize("name", SOURCES)
 def test_no_module_holds_an_assert_statement(name):
     assert assert_lines((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+# Slow to load and needed by no check or gen run: the records are plain
+# classes, not dataclasses (which load inspect); hashlib serves only the
+# invariant hashes and the ordinal calculus only the ordinal verb.
+STARTUP_UNUSED = ("dataclasses", "inspect", "hashlib", "typing", "posetideals.ordinals")
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The modules of STARTUP_UNUSED that a fresh ``python -S`` has loaded
+    after running statement, with the package under test on its path."""
+    code = (f"import sys\n{statement}\n"
+            f"print(*[m for m in {STARTUP_UNUSED!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), check=True)
+    return out.stdout.split()
+
+
+def test_the_startup_guard_flags_what_it_should():
+    statement = "import dataclasses, hashlib, typing, posetideals.ordinals"
+    assert loaded_after(statement) == list(STARTUP_UNUSED)
+
+
+def test_importing_the_cli_loads_nothing_a_check_does_not_run():
+    assert loaded_after("import posetideals.cli") == []

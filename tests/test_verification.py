@@ -159,6 +159,20 @@ def test_theorem_3_1_check():
         check_theorem_3_1(vee())
     with pytest.raises(ValueError):
         check_theorem_3_1(antichain(2))
+    # the same check, given the structure a caller has already classified
+    assert check_theorem_3_1(classify(diamond()), "d") == check_theorem_3_1(diamond(), "d")
+    with pytest.raises(ValueError):
+        check_theorem_3_1(classify(vee()))
+
+
+def test_thm31_suite_classifies_each_corpus_poset_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(verification, "classify", lambda P: seen.append(P.up) or classify(P))
+    reports = run_suite("thm31", 4)
+    corpus = generate_corpus(4)
+    assert seen == [P.up for _, P in corpus.items()]
+    assert [r.instance for r in reports] == [
+        iid for iid, P in corpus.items() if classify(P).is_upper]
 
 
 def test_corollary_2_3_check():
