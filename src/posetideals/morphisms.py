@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .poset import Poset, bits, height, linear_extension, previous_twins, refine_colours
+from .poset import Poset, bits, linear_extension, previous_twins, refine_colours
 from .record import Record, setfield
 
 ISOTONE = "isotone"
@@ -93,11 +93,12 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
 
     A strictly isotone map sends a chain onto a chain of the same length,
     so it lowers no element's height.  When A's greatest height
-    (poset.height) exceeds B's, no such map exists and the search ends at
-    the root without charging a node.  Otherwise the bound needs no mask
-    of its own: a non-minimal element has a lower cover one below its
-    height, and every target strictly above that cover's image is at
-    least as high, so forward checking keeps only high enough targets.
+    (Poset.height, computed once per poset) exceeds B's, no such map
+    exists and the search ends at the root without charging a node.
+    Otherwise the bound needs no mask of its own: a non-minimal element
+    has a lower cover one below its height, and every target strictly
+    above that cover's image is at least as high, so forward checking
+    keeps only high enough targets.
 
     Budget nodes are counted per candidate index, as if each target were
     tried in turn: an element is charged one node per target index up to
@@ -114,7 +115,7 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
         return
     if B.n == 0:
         return
-    if kind == STRICTLY_ISOTONE and height(A) > height(B):
+    if kind == STRICTLY_ISOTONE and A.height > B.height:
         return
     full = B.full_mask
     above = B.up if kind == ISOTONE else [row ^ 1 << f for f, row in enumerate(B.up)]

@@ -98,6 +98,30 @@ class Poset(Record):
                 row ^= low
         return tuple(rows)
 
+    @cached_property
+    def height(self) -> int:
+        """The greatest height in P: the number of elements below the top of
+        a longest chain, so one less than its length; -1 when P is empty.
+
+        Peels minimal layers, starting from all of P.  The elements strictly
+        above some member of an up-set are its non-minimal members, and they
+        form an up-set again, so each layer costs one OR of strict up-rows
+        per remaining element; the k-th layer peeled holds the elements of
+        height k, and the last one peeled the greatest."""
+        strict = [row ^ 1 << i for i, row in enumerate(self.up)]
+        rest = self.full_mask
+        k = -1
+        while rest:
+            above = 0
+            m = rest
+            while m:
+                low = m & -m
+                above |= strict[low.bit_length() - 1]
+                m ^= low
+            rest = above
+            k += 1
+        return k
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -292,30 +316,6 @@ def linear_extension(P: Poset) -> tuple[int, ...]:
     """A deterministic linear extension: ascending |down(x)|, ties by index
     (sorted is stable)."""
     return tuple(sorted(range(P.n), key=[row.bit_count() for row in P.down].__getitem__))
-
-
-def height(P: Poset) -> int:
-    """The greatest height in P: the number of elements below the top of a
-    longest chain, so one less than its length; -1 when P is empty.
-
-    Peels minimal layers, starting from all of P.  The elements strictly
-    above some member of an up-set are its non-minimal members, and they
-    form an up-set again, so each layer costs one OR of strict up-rows per
-    remaining element; the k-th layer peeled holds the elements of
-    height k, and the last one peeled the greatest."""
-    strict = [row ^ 1 << i for i, row in enumerate(P.up)]
-    rest = P.full_mask
-    k = -1
-    while rest:
-        above = 0
-        m = rest
-        while m:
-            low = m & -m
-            above |= strict[low.bit_length() - 1]
-            m ^= low
-        rest = above
-        k += 1
-    return k
 
 
 def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:

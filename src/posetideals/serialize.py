@@ -25,6 +25,11 @@ from .poset import (
 )
 
 
+# the keys a document may hold: the ones the matching loader reads
+POSET_KEYS = ("n", "leq", "labels")
+FAMILY_KEYS = ("kind", "base_n", "sets", "leq")
+
+
 def json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -40,12 +45,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_keys(doc: dict, allowed: tuple[str, ...], what: str) -> None:
+    """A key the loader would not read is an error, not something to skip:
+    {"n": 3, "up": [7, 6, 4]} must not load as a 3-antichain."""
+    unknown = sorted(set(doc).difference(allowed), key=str)
+    if unknown:
+        raise ValueError(f"unknown {what} document key(s) {unknown}; "
+                         f"expected only {', '.join(allowed)}")
+
+
 def poset_from_json(doc: dict) -> Poset:
-    """Poset from a JSON document; a malformed document raises ValueError
-    (CapacityExceeded for more than MAX_ELEMENTS elements) before anything
-    is built from it."""
+    """Poset from a JSON document; a malformed document, one with a key
+    outside POSET_KEYS included, raises ValueError (CapacityExceeded for
+    more than MAX_ELEMENTS elements) before anything is built from it."""
     if not isinstance(doc, dict):
         raise ValueError(f"a poset document must be an object, got {type(doc).__name__}")
+    _check_keys(doc, POSET_KEYS, "poset")
     n = doc.get("n")
     if not _is_int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
@@ -81,7 +96,9 @@ def family_to_json(F: FamilyPoset) -> dict:
 
 
 def family_order_from_json(doc: dict) -> Poset:
-    """Rebuild just the inclusion order of a dumped family, for rendering."""
+    """Rebuild just the inclusion order of a dumped family, for rendering;
+    a key outside FAMILY_KEYS raises ValueError."""
+    _check_keys(doc, FAMILY_KEYS, "family")
     base_n, sets = doc.get("base_n"), doc.get("sets")
     if not _is_int(base_n) or not 0 <= base_n <= MAX_ELEMENTS:
         raise ValueError(f"base_n must be an integer in 0..{MAX_ELEMENTS}")

@@ -12,7 +12,7 @@ from itertools import permutations, product
 from typing import Iterator
 
 from posetideals import CnfOrdinal, classify, fdown
-from posetideals.completions import downset_masks
+from posetideals.completions import downset_masks, principal_embedding
 from posetideals.morphisms import (
     DEFAULT_BUDGET,
     EMBEDDING,
@@ -25,7 +25,7 @@ from posetideals.morphisms import (
 )
 from posetideals.ordinals import ZERO, cnf_from_int
 from posetideals.poset import Poset, bits, linear_extension, previous_twins
-from posetideals.verification import _extend_by_maximal
+from posetideals.verification import FAILS, HOLDS, CheckReport, _extend_by_maximal
 
 
 def members(mask: int) -> list[int]:
@@ -386,6 +386,18 @@ def generate_corpus_reference(max_n: int) -> list[tuple[Poset, ...]]:
                 seen.setdefault(canon.up, canon)
         rows.append(tuple(sorted(seen.values(), key=lambda Q: Q.up)))
     return rows
+
+
+def check_acc_reference(P: Poset, instance: str = "adhoc") -> CheckReport:
+    """The acc check without the id-fixpoint exit: every one of the three
+    stages is built unless an earlier one is not an isomorphism."""
+    stage = P
+    for k in (1, 2, 3):
+        emb = principal_embedding(stage)
+        if emb.kind != ISOMORPHISM:
+            return CheckReport("acc", instance, FAILS, {"stage": k, "kind": emb.kind})
+        stage = emb.target
+    return CheckReport("acc", instance, HOLDS)
 
 
 def colours_naive(P) -> list[int]:

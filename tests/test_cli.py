@@ -135,6 +135,8 @@ BAD_DOCUMENTS = [
     pytest.param({"n": 2, "leq": [[0, 1, 1]]}, 2, id="leq-triple"),
     pytest.param({"n": 2, "labels": "ab"}, 2, id="labels-string"),
     pytest.param({"n": 2, "labels": ["a"]}, 2, id="labels-short"),
+    # a 3-chain as up-rows: skipping the key would load a 3-antichain
+    pytest.param({"n": 3, "up": [7, 6, 4]}, 2, id="unknown-key"),
 ]
 
 
@@ -153,6 +155,7 @@ def test_bad_documents_are_rejected(capsys, monkeypatch, verb, doc, code):
     {"sets": [0, -1], "base_n": 1, "leq": [[0, 1]]},
     {"sets": [0, 4], "base_n": 2, "leq": [[0, 1]]},
     {"sets": "01", "base_n": 1},
+    {"sets": [0, 1], "base_n": 1, "leq": [[0, 1]], "up": [3, 2]},
 ])
 def test_render_rejects_bad_families(capsys, monkeypatch, doc):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))

@@ -44,7 +44,6 @@ from posetideals.poset import (
     bits,
     bits_desc,
     down_closure,
-    height,
     induced,
     is_directed,
     least_in,
@@ -230,16 +229,16 @@ def test_linear_extension_is_topological(P):
 
 
 def test_heights_match_the_longest_chains():
-    assert height(Poset(0, ())) == -1
+    assert Poset(0, ()).height == -1
     rng = random.Random(5)
     for _, P in generate_corpus(6).items():
         if P.n == 0:
             continue
-        h = height(P)
+        h = P.height
         assert h == max(heights_naive(P))
         perm = list(range(P.n))
         rng.shuffle(perm)
-        assert height(relabel(P, perm)) == h
+        assert relabel(P, perm).height == h
 
 
 def test_refine_colours_against_the_reference(corpus6):

@@ -1,13 +1,30 @@
 """Corpus generation and the theorem-shaped check battery."""
 
 import tracemalloc
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import antichain, chain, diamond, posets, vee, wedge
-from oracles import all_posets_naive, downsets_naive, generate_corpus_reference
+from conftest import (
+    antichain,
+    chain,
+    diamond,
+    posets,
+    relabel,
+    seeded_relabelings,
+    vee,
+    wedge,
+)
+from oracles import (
+    all_posets_naive,
+    check_acc_reference,
+    downsets_naive,
+    generate_corpus_reference,
+    ideals_naive,
+    inclusion_rows_pairwise,
+)
 from posetideals import (
     CapacityExceeded,
     Corpus,
@@ -183,6 +200,27 @@ def test_corollary_2_3_check():
     assert check_corollary_2_3_hypothesis(chain(4), budget=0).verdict == VACUOUS
 
 
+def test_corollary_2_3_computes_the_height_of_p_once(monkeypatch):
+    # every nonminimal x starts a strictly isotone search from P, and the
+    # height bound reads P's height in each; it is computed for the first
+    real = Poset.height.func
+    seen = []
+
+    def counted(P):
+        seen.append(P)
+        return real(P)
+
+    spy = cached_property(counted)
+    spy.__set_name__(Poset, "height")
+    monkeypatch.setattr(Poset, "height", spy)
+    P = chain(4)
+    r = check_corollary_2_3_hypothesis(P)
+    assert r.verdict == VACUOUS and r.witness == {"nonminimal_tried": 3}
+    assert sum(Q is P for Q in seen) == 1
+    # and once for each up-set searched into
+    assert len(seen) == 1 + 3
+
+
 def test_corollary_3_2_check():
     r = check_corollary_3_2(diamond())
     assert r.verdict == HOLDS and r.witness == {"downsets": 6}
@@ -213,25 +251,70 @@ def test_acc_check(corpus4):
         assert check_acc(P, iid).verdict == HOLDS
 
 
+# the diamond with its bottom and top swapped: the top has index 0, so the
+# principal downsets are out of ascending mask order
+TOP_FIRST = (3, 1, 2, 0)
+
+
 @pytest.mark.parametrize("bad", [1, 2, 3])
 def test_acc_reports_the_first_stage_that_is_not_an_isomorphism(monkeypatch, bad):
     # at stage `bad` the principal downsets go into every ideal, the empty
-    # one included: an embedding one element short of onto
+    # one included: an embedding one element short of onto.  The top-first
+    # diamond reaches the id fixpoint at stage 2, so for stage 3 to run,
+    # stage 2 maps isomorphically onto its target with the rows permuted
     real = verification.principal_embedding
     seen = []
 
     def principal_embedding(P):
         seen.append(P)
-        if len(seen) != bad:
-            return real(P)
-        F = ideals(P, include_empty=True)
-        image = tuple(F.index(P.down[x]) for x in range(P.n))
-        return MonotoneMap(P, F.order, image, map_kind(P, F.order, image))
+        if len(seen) == bad:
+            F = ideals(P, include_empty=True)
+            image = tuple(F.index(P.down[x]) for x in range(P.n))
+            return MonotoneMap(P, F.order, image, map_kind(P, F.order, image))
+        emb = real(P)
+        if len(seen) == 2:
+            T = relabel(emb.target, TOP_FIRST)
+            image = tuple(TOP_FIRST[y] for y in emb.image)
+            return MonotoneMap(P, T, image, map_kind(P, T, image))
+        return emb
 
     monkeypatch.setattr(verification, "principal_embedding", principal_embedding)
-    r = check_acc(diamond(), "d")
+    r = check_acc(relabel(diamond(), TOP_FIRST), "d")
     assert (r.verdict, r.witness) == (FAILS, {"stage": bad, "kind": EMBEDDING})
     assert len(seen) == bad  # no stage past the first failure is built
+
+
+def test_acc_stops_at_the_id_fixpoint(monkeypatch, corpus4):
+    # a canonical class is labelled along a linear extension, so stage 1
+    # is the fixpoint; the top-first diamond needs stage 2 to reach it
+    real = verification.principal_embedding
+    built = []
+    monkeypatch.setattr(verification, "principal_embedding",
+                        lambda P: built.append(P) or real(P))
+    for iid, P in corpus4.items():
+        built.clear()
+        assert check_acc(P, iid).verdict == HOLDS and len(built) == 1
+    built.clear()
+    D = relabel(diamond(), TOP_FIRST)
+    assert list(D.down) != sorted(D.down)
+    assert check_acc(D).verdict == HOLDS and len(built) == 2
+
+
+def test_acc_matches_the_three_stage_reference(corpus6):
+    for P in seeded_relabelings(corpus6, 3, seed=19):
+        r, ref = check_acc(P), check_acc_reference(P)
+        assert (r.verdict, r.witness) == (ref.verdict, ref.witness)
+
+
+def test_the_second_ideal_completion_is_a_fixpoint(corpus6):
+    # what check_acc's early exit rests on, from the definitions alone:
+    # Q = id(P) lists its ideals in ascending mask order, and the nonempty
+    # ideals of Q, in that order, have Q's own inclusion rows
+    for P in seeded_relabelings(corpus6, 3, seed=19):
+        Q_up = inclusion_rows_pairwise(sorted(ideals_naive(P, False)))
+        assert Q_up == ideals(P, False).order.up
+        Q = Poset(len(Q_up), Q_up)
+        assert inclusion_rows_pairwise(sorted(ideals_naive(Q, False))) == Q.up
 
 
 def test_chain_bundle_shape():
@@ -367,8 +450,8 @@ def test_lemma_5_1_meet_is_checked_before_join(monkeypatch):
 
 def test_lemma_5_1_and_acc_compute_each_structure_once(monkeypatch, corpus5):
     # one x_down search per corpus poset and member, one classify per corpus
-    # poset and one ideal family per upper semilattice; acc builds each of
-    # its three ideal families once
+    # poset and one ideal family per upper semilattice; acc builds one
+    # ideal family per poset, since a canonical class is its own id fixpoint
     from posetideals import completions, verification
 
     calls = {}
@@ -391,7 +474,7 @@ def test_lemma_5_1_and_acc_compute_each_structure_once(monkeypatch, corpus5):
     count(completions, "ideals")
     for iid, P in corpus5.items():
         assert check_acc(P, iid).verdict == HOLDS
-    assert calls == {"ideals": 3 * 88}
+    assert calls == {"ideals": 88}
 
 
 def test_lemma_5_1_with_an_antichain_member(corpus4):
