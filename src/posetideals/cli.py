@@ -42,7 +42,9 @@ from .verification import (
 
 COMPLETE_OPS = ("down", "id", "Id", "chid", "chId", "fdown", "idpow")
 # Id(P) is isomorphic to P for finite P, so iterating it further shows nothing
-# new; the cap only keeps a huge --k from running without end.
+# new.  This cap bounds the number of stages; it does not bound their cost.
+# Each stage's labels nest the previous stage's, so their length grows with
+# --k, and render_elemset's LABEL_CAP is what stops a long run (exit 3).
 IDPOW_MAX_K = 64
 
 

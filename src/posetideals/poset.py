@@ -20,6 +20,8 @@ from functools import cached_property
 from .record import Record, setfield
 
 MAX_ELEMENTS = 64
+# the longest display form render_elemset builds, in characters
+LABEL_CAP = 1 << 20
 
 
 class PosetError(Exception):
@@ -396,7 +398,20 @@ def maximal_elements(P: Poset) -> int:
 
 
 def render_elemset(P: Poset, mask: int) -> str:
-    """Display form of an element set; members listed by descending index."""
+    """Display form of an element set; members listed by descending index.
+
+    A family order's labels are rendered over its base's labels, so each
+    iterated completion nests them one level deeper and their length grows
+    without bound; a form longer than LABEL_CAP characters raises
+    CapacityExceeded, checked as each member's label is added."""
     if not mask:
         return "∅"
-    return "{" + ",".join(P.label(i) for i in bits_desc(mask)) + "}"
+    parts = []
+    size = 1
+    for i in bits_desc(mask):
+        label = P.label(i)
+        size += len(label) + 1
+        if size > LABEL_CAP:
+            raise CapacityExceeded(f"an element set's label exceeds {LABEL_CAP} characters")
+        parts.append(label)
+    return "{" + ",".join(parts) + "}"

@@ -298,6 +298,16 @@ def isomorphic_naive(A: Poset, B: Poset) -> bool:
     return next(iter_maps_reference(A, B, ISOMORPHISM, None), None) is not None
 
 
+def join_table_naive(n: int, leq) -> list[list[int | None]]:
+    """Least upper bounds read off the order alone, for elements 0..n-1
+    under leq(x, y); None where a pair has none."""
+    def lub(x, y):
+        ubs = [z for z in range(n) if leq(x, z) and leq(y, z)]
+        least = [z for z in ubs if all(leq(z, w) for w in ubs)]
+        return least[0] if least else None
+    return [[lub(x, y) for y in range(n)] for x in range(n)]
+
+
 def semilattice_homs_naive(A, B, surjective: bool) -> set[tuple[int, ...]]:
     """Every function between two upper semilattices' carriers, filtered by
     the join-preservation clause (and onto-ness when asked)."""

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import child_env
 from posetideals import iterate_id
 from posetideals.cli import COMPLETE_OPS, IDPOW_MAX_K, main
-from posetideals.poset import MAX_ELEMENTS
+from posetideals.poset import LABEL_CAP, MAX_ELEMENTS
 from posetideals.serialize import poset_from_json, poset_to_json
 from posetideals.verification import SUITES, generate_corpus
 
@@ -179,6 +179,19 @@ def test_complete_idpow_k_is_capped(capsys, diamond_file):
     rc, _, err = run_cli(capsys, "complete", "--op", "idpow", "--k", "-1",
                          "--in", diamond_file)
     assert rc == 2 and err.startswith("error: ")
+
+
+def test_complete_idpow_stops_at_the_label_cap(tmp_path):
+    # each stage's labels nest the previous stage's, so a 10-chain's labels outgrow
+    # LABEL_CAP long before --k reaches IDPOW_MAX_K; without the label cap
+    # this run does not end within the timeout
+    doc = tmp_path / "chain10.json"
+    doc.write_text(json.dumps({"n": 10, "leq": [[i, j] for i in range(10) for j in range(i, 10)]}))
+    out = subprocess.run([sys.executable, "-m", "posetideals", "complete", "--op", "idpow",
+                          "--k", str(IDPOW_MAX_K), "--in", str(doc)],
+                         capture_output=True, env=child_env(), timeout=60)
+    assert (out.returncode, out.stdout) == (3, b"")
+    assert out.stderr.startswith(b"error: ") and str(LABEL_CAP).encode() in out.stderr
 
 
 # Integers reach -3..20, past the 2^14-set family cap, or beyond the

@@ -38,6 +38,7 @@ from posetideals import (
     hasse_covers,
 )
 from posetideals.poset import (
+    LABEL_CAP,
     NotAntisymmetric,
     NotReflexive,
     NotTransitive,
@@ -256,6 +257,20 @@ def test_render_elemset():
     assert render_elemset(P, 0) == "∅"
     assert render_elemset(P, 0b0011) == "{a,0}"
     assert render_elemset(chain(3), 0b111) == "{2,1,0}"
+
+
+def test_render_elemset_stops_at_the_label_cap():
+    # "{" + label + "}" is exactly LABEL_CAP characters, then one more
+    fits = from_up_rows([1], labels=("x" * (LABEL_CAP - 2),))
+    assert len(render_elemset(fits, 1)) == LABEL_CAP
+    over = from_up_rows([1], labels=("x" * (LABEL_CAP - 1),))
+    with pytest.raises(CapacityExceeded):
+        render_elemset(over, 1)
+    # the sum over members counts, each with its separator
+    halves = from_up_rows([1, 2], labels=("x" * (LABEL_CAP // 2),) * 2)
+    with pytest.raises(CapacityExceeded):
+        render_elemset(halves, 0b11)
+    assert len(render_elemset(halves, 0b01)) == LABEL_CAP // 2 + 2
 
 
 @settings(max_examples=40)

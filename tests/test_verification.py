@@ -1,5 +1,6 @@
 """Corpus generation and the theorem-shaped check battery."""
 
+import sys
 import tracemalloc
 from functools import cached_property
 from types import SimpleNamespace
@@ -24,11 +25,15 @@ from oracles import (
     generate_corpus_reference,
     ideals_naive,
     inclusion_rows_pairwise,
+    join_table_naive,
+    members,
+    semilattice_homs_naive,
 )
 from posetideals import (
     CapacityExceeded,
     Corpus,
     Poset,
+    algebra,
     build_atoms_lattice,
     build_chain_bundle,
     build_idemb_tower,
@@ -40,11 +45,13 @@ from posetideals import (
     check_theorem_2_1_id,
     check_theorem_3_1,
     classify,
+    completions,
     generate_corpus,
     ideals,
     run_suite,
     verification,
 )
+from posetideals.algebra import subsemilattices
 from posetideals.completions import downset_masks
 from posetideals.morphisms import (
     EMBEDDING,
@@ -180,6 +187,60 @@ def test_theorem_3_1_check():
     assert check_theorem_3_1(classify(diamond()), "d") == check_theorem_3_1(diamond(), "d")
     with pytest.raises(ValueError):
         check_theorem_3_1(classify(vee()))
+
+
+def test_theorem_3_1_can_fail(monkeypatch):
+    # with S itself missing from the downsets, chain(3) has only three ideals
+    def short(P):
+        return [d for d in downset_masks(P) if d != P.full_mask]
+
+    monkeypatch.setattr(completions, "downset_masks", short)
+    r = check_theorem_3_1(chain(3))
+    assert r.verdict == FAILS and r.witness == {"ideals": 3, "n": 3}
+
+
+def test_thm31_suite_lists_no_carrier_and_searches_no_map(monkeypatch):
+    # every binding of the three, in algebra and in any module that
+    # imported them by name, raises: the suite must reach none of them
+    def refuse(*args, **kwargs):
+        raise AssertionError("thm31 is settled by counting")
+
+    for name in ("subsemilattices", "substructure", "semilattice_homs"):
+        original = getattr(algebra, name)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("posetideals") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, refuse)
+    reports = run_suite("thm31", 5)
+    assert len(reports) == 25 and {r.verdict for r in reports} == {HOLDS}
+
+
+def test_theorem_3_1_against_a_brute_force_hom_search(corpus4):
+    # the thm31 verdict backed without the count: Id(S) is built from the
+    # definition, every join-closed subset of S is found by scanning all
+    # subsets, and every function from each onto Id(S) is tried
+    uppers = 0
+    for _, S in corpus4.items():
+        join = join_table_naive(S.n, S.leq)
+        if any(j is None for row in join for j in row):
+            continue
+        uppers += 1
+        sets = sorted(ideals_naive(S, True))
+        assert len(sets) == S.n + 1
+        rows = inclusion_rows_pairwise(sets)
+        T = SimpleNamespace(base=SimpleNamespace(n=len(sets)),
+                            join=join_table_naive(len(sets), lambda i, j: rows[i] >> j & 1))
+        carriers = 0
+        for m in range(1 << S.n):
+            elems = members(m)
+            if any(join[a][b] not in elems for a in elems for b in elems):
+                continue
+            carriers += 1
+            A = SimpleNamespace(base=SimpleNamespace(n=len(elems)),
+                                join=[[elems.index(join[a][b]) for b in elems] for a in elems])
+            assert semilattice_homs_naive(A, T, surjective=True) == set()
+        assert carriers == len(list(subsemilattices(classify(S))))
+        assert check_theorem_3_1(S).verdict == HOLDS
+    assert uppers == 10
 
 
 def test_thm31_suite_classifies_each_corpus_poset_once(monkeypatch):
