@@ -105,24 +105,38 @@ class Poset(Record):
         """The greatest height in P: the number of elements below the top of
         a longest chain, so one less than its length; -1 when P is empty.
 
-        Peels minimal layers, starting from all of P.  The elements strictly
-        above some member of an up-set are its non-minimal members, and they
-        form an up-set again, so each layer costs one OR of strict up-rows
-        per remaining element; the k-th layer peeled holds the elements of
-        height k, and the last one peeled the greatest."""
-        strict = [row ^ 1 << i for i, row in enumerate(self.up)]
+        Peels maximal layers, starting from all of P, a downset: each round
+        keeps the members that have a member strictly above them, which
+        form a downset again, so one AND of a strict up-row per remaining
+        element decides it.  The rounds number one more than the greatest
+        height, and the last nonempty set holds the elements with that many
+        elements above them on some chain: the peel stores it as
+        longest_chain_bottoms."""
+        live = [(1 << i, row ^ 1 << i) for i, row in enumerate(self.up)]
         rest = self.full_mask
+        last = 0
         k = -1
         while rest:
-            above = 0
-            m = rest
-            while m:
-                low = m & -m
-                above |= strict[low.bit_length() - 1]
-                m ^= low
-            rest = above
+            last = rest
+            kept = []
+            for p in live:
+                if p[1] & last:
+                    kept.append(p)
+                else:
+                    rest ^= p[0]
+            live = kept
             k += 1
+        self.__dict__["longest_chain_bottoms"] = last
         return k
+
+    @cached_property
+    def longest_chain_bottoms(self) -> int:
+        """Mask of the bottoms of longest chains: the x with `height`
+        elements above x on some chain, so that the up-set of x is as high
+        as P.  Empty when P is, and never holds a nonminimal element.  The
+        peel in `height` computes it."""
+        self.height
+        return self.__dict__["longest_chain_bottoms"]
 
     @property
     def full_mask(self) -> int:

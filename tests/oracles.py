@@ -66,6 +66,19 @@ def heights_naive(P) -> list[int]:
     return out
 
 
+def depths_naive(P) -> list[int]:
+    """Entry s is the number of elements above s on a longest chain
+    starting at s, found by enumerating every subset of P that is a chain:
+    the dual of heights_naive."""
+    out = [0] * P.n
+    for s in range(1, 1 << P.n):
+        if is_chain_naive(P, s):
+            elems = members(s)
+            bottom = next(x for x in elems if all(P.leq(x, y) for y in elems))
+            out[bottom] = max(out[bottom], len(elems) - 1)
+    return out
+
+
 def downsets_naive(P) -> set[int]:
     return {s for s in range(1 << P.n) if is_downset_naive(P, s)}
 

@@ -19,6 +19,7 @@ from conftest import (
 )
 from oracles import (
     covers_naive,
+    depths_naive,
     heights_naive,
     is_directed_naive,
     is_downset_naive,
@@ -240,6 +241,20 @@ def test_heights_match_the_longest_chains():
         perm = list(range(P.n))
         rng.shuffle(perm)
         assert relabel(P, perm).height == h
+
+
+def test_the_peel_finds_the_bottoms_of_longest_chains(corpus6):
+    # a mask that is too small would let cor23 settle an x that the height
+    # bound does not settle, and cor23 would still report vacuous
+    assert Poset(0, ()).longest_chain_bottoms == 0
+    cases = [P for _, P in corpus6.items()] + seeded_relabelings(corpus6, 3, seed=11)
+    for P in cases:
+        h, bottoms = P.height, P.longest_chain_bottoms
+        depths = depths_naive(P)
+        assert bottoms == mask_of(x for x in range(P.n) if depths[x] == h)
+        for x in range(P.n):
+            assert (induced(P, P.up[x])[0].height < h) == (not bottoms >> x & 1)
+        assert h == max(heights_naive(P), default=-1)
 
 
 def test_refine_colours_against_the_reference(corpus6):

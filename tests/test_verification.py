@@ -57,12 +57,13 @@ from posetideals.morphisms import (
     EMBEDDING,
     ISOTONE,
     STRICTLY_ISOTONE,
+    BudgetExceeded,
     MonotoneMap,
     are_isomorphic,
     canonical_key,
     map_kind,
 )
-from posetideals.poset import adjoin_bounds, induced
+from posetideals.poset import adjoin_bounds, bits, induced, minimal_elements
 from posetideals.verification import (
     FAILS,
     HOLDS,
@@ -261,25 +262,65 @@ def test_corollary_2_3_check():
     assert check_corollary_2_3_hypothesis(chain(4), budget=0).verdict == VACUOUS
 
 
-def test_corollary_2_3_computes_the_height_of_p_once(monkeypatch):
-    # every nonminimal x starts a strictly isotone search from P, and the
-    # height bound reads P's height in each; it is computed for the first
+def test_corollary_2_3_builds_no_up_set_and_peels_p_once(monkeypatch, corpus6):
+    # one peel of P settles the height bound for every nonminimal x, so
+    # no up-set is built and no map is searched
+    calls = []
+    monkeypatch.setattr(verification, "induced", lambda *a: calls.append(a))
+    monkeypatch.setattr(verification, "exists_map", lambda *a, **k: calls.append(a))
     real = Poset.height.func
-    seen = []
+    peeled = []
 
     def counted(P):
-        seen.append(P)
+        peeled.append(P)
         return real(P)
 
     spy = cached_property(counted)
     spy.__set_name__(Poset, "height")
     monkeypatch.setattr(Poset, "height", spy)
-    P = chain(4)
-    r = check_corollary_2_3_hypothesis(P)
-    assert r.verdict == VACUOUS and r.witness == {"nonminimal_tried": 3}
-    assert sum(Q is P for Q in seen) == 1
-    # and once for each up-set searched into
-    assert len(seen) == 1 + 3
+    # fresh posets, so that no peel is cached from an earlier test
+    fresh = [Poset(P.n, P.up) for _, P in corpus6.items()]
+    for P in fresh:
+        r = check_corollary_2_3_hypothesis(P)
+        assert r.verdict == VACUOUS
+        assert r.witness == {"nonminimal_tried": P.n - minimal_elements(P).bit_count()}
+    assert calls == []
+    assert len(peeled) == len(fresh) == 406
+    assert all(Q is P for Q, P in zip(peeled, fresh))
+
+
+def test_corollary_2_3_can_fail_where_the_bound_settles_nothing(monkeypatch, corpus4):
+    # with every element taken for a bottom of a longest chain, the bound
+    # settles no x: each nonminimal x gets the full search, in ascending
+    # order, and the reports are unchanged
+    before = [check_corollary_2_3_hypothesis(P, iid) for iid, P in corpus4.items()]
+    monkeypatch.setattr(Poset, "longest_chain_bottoms", property(lambda P: P.full_mask))
+    real = verification.exists_map
+    targets = []
+
+    def counted(A, B, kind, budget=None):
+        targets.append(B.n)
+        return real(A, B, kind, budget=budget)
+
+    monkeypatch.setattr(verification, "exists_map", counted)
+    for (iid, P), r in zip(corpus4.items(), before):
+        targets.clear()
+        assert check_corollary_2_3_hypothesis(P, iid) == r
+        nonminimal = P.full_mask & ~minimal_elements(P)
+        assert targets == [P.up[x].bit_count() for x in bits(nonminimal)]
+    # a search that finds a map fails the check at the first nonminimal x
+    monkeypatch.setattr(verification, "exists_map",
+                        lambda A, B, kind, budget=None: SimpleNamespace(image=(0,) * A.n))
+    assert check_corollary_2_3_hypothesis(diamond(), "d") == CheckReport(
+        "cor23", "d", FAILS, {"x": 1, "image": [0, 0, 0, 0]})
+
+    # and one that runs out of budget leaves it unknown
+    def exhausted(A, B, kind, budget=None):
+        raise BudgetExceeded(budget)
+
+    monkeypatch.setattr(verification, "exists_map", exhausted)
+    assert check_corollary_2_3_hypothesis(diamond(), "d", 7) == CheckReport(
+        "cor23", "d", UNKNOWN, {"budget": 7})
 
 
 def test_corollary_3_2_check():
