@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from collections.abc import Iterable
 
 from .completions import chain_ideals, downsets, fdown, ideals, iterate_id
 from .morphisms import DEFAULT_BUDGET, BudgetExceeded
@@ -107,12 +109,18 @@ def _read_json(path: str):
         raise ValueError("JSON document nested too deeply") from None
 
 
-def _write(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(chunks: Iterable[str], path: str) -> None:
+    """Write each chunk as it comes, opening a file only at the first: a
+    run that stops before any chunk leaves no file, a later stop keeps it."""
+    fh = None
+    try:
+        for chunk in chunks:
+            if fh is None:
+                fh = sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+            fh.write(chunk)
+    finally:
+        if fh is not None and path != "-":
+            fh.close()
 
 
 def _diamond():
@@ -123,13 +131,12 @@ def _diamond():
 def _cmd_gen(args) -> int:
     corpus = generate_corpus(args.max_n)
     if args.format == "json":
-        lines = [json_dumps({"instance": iid, "poset": poset_to_json(P)})
-                 for iid, P in corpus.items()]
-        _write("\n".join(lines) + "\n", args.out)
+        _write((json_dumps({"instance": iid, "poset": poset_to_json(P)}) + "\n"
+                for iid, P in corpus.items()), args.out)
     else:
         counts = " ".join(f"n={n}:{len(row)}" for n, row in enumerate(corpus.by_size))
         total = sum(len(row) for row in corpus.by_size)
-        _write(f"{counts} total={total}\n", args.out)
+        _write([f"{counts} total={total}\n"], args.out)
     return 0
 
 
@@ -139,7 +146,7 @@ def _cmd_complete(args) -> int:
         if args.k > IDPOW_MAX_K:
             raise CapacityExceeded(f"--k {args.k} exceeds the idpow cap {IDPOW_MAX_K}")
         stage = iterate_id(P, args.k)
-        _write(json_dumps(poset_to_json(stage)) + "\n", args.out)
+        _write([json_dumps(poset_to_json(stage)) + "\n"], args.out)
         return 0
     F = {
         "down": lambda: downsets(P),
@@ -149,32 +156,35 @@ def _cmd_complete(args) -> int:
         "chId": lambda: chain_ideals(P, include_empty=True),
         "fdown": lambda: fdown(P),
     }[args.op]()
-    _write(json_dumps(family_to_json(F)) + "\n", args.out)
+    _write([json_dumps(family_to_json(F)) + "\n"], args.out)
     return 0
 
 
-def _cmd_check(args, budget: int) -> int:
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    chunks, verdicts = [], set()
-    for suite in suites:
-        reports = run_suite(suite, max_n=args.max_n, budget=budget, k=args.k)
-        verdicts.update(r.verdict for r in reports)
-        if args.format == "json":
-            lines = [json_dumps(r.to_json()) for r in reports]
-        else:
-            lines = []
-            for r in reports:
-                lines.append(f"{r.check} {r.instance}: {r.verdict}")
+def _cmd_check(args) -> int:
+    verdicts = Counter()  # the whole run's tally, for the exit code
+
+    def lines():
+        # each made as its report is; a suite's tally joins verdicts at its end
+        for suite in SUITES if args.suite == "all" else (args.suite,):
+            tally = Counter()
+            for r in run_suite(suite, max_n=args.max_n, budget=args.budget, k=args.k):
+                tally[r.verdict] += 1
+                if args.format == "json":
+                    yield json_dumps(r.to_json()) + "\n"
+                    continue
+                yield f"{r.check} {r.instance}: {r.verdict}\n"
                 if r.witness and "trace" in r.witness:
-                    lines.append("  trace: " + ",".join(r.witness["trace"]))
-            # only per-instance suites count their reports per corpus size
-            corpus = generate_corpus(args.max_n) if suite in PER_INSTANCE else None
-            lines.append(summarize(reports, corpus))
-        chunks.append("\n".join(lines) + "\n")
-    _write("".join(chunks), args.out)
-    if FAILS in verdicts:
+                    yield "  trace: " + ",".join(r.witness["trace"]) + "\n"
+            if args.format == "text":
+                # only per-instance suites count their reports per corpus size
+                rows = generate_corpus(args.max_n).by_size if suite in PER_INSTANCE else None
+                yield summarize(tally, rows) + "\n"
+            verdicts.update(tally)
+
+    _write(lines(), args.out)
+    if verdicts[FAILS]:
         return 1
-    if UNKNOWN in verdicts:
+    if verdicts[UNKNOWN]:
         return 3
     return 0
 
@@ -194,9 +204,9 @@ def _cmd_counterexample(args) -> int:
         doc = poset_to_json(P)
         text = f"idemb-tower(stages={args.k}): {P.n} elements\n"
     if args.format == "json":
-        _write(json_dumps(doc) + "\n", args.out)
+        _write([json_dumps(doc) + "\n"], args.out)
     else:
-        _write(text, args.out)
+        _write([text], args.out)
     return 0
 
 
@@ -226,7 +236,7 @@ def _cmd_render(args) -> int:
     doc = _read_json(args.inp)
     is_family = isinstance(doc, dict) and "sets" in doc
     P = family_order_from_json(doc) if is_family else poset_from_json(doc)
-    _write(poset_to_dot(P), args.out)
+    _write([poset_to_dot(P)], args.out)
     return 0
 
 
@@ -243,22 +253,14 @@ def _budget(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        budget = _budget(args)
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+        args.budget = _budget(args)
+        if args.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {args.budget}")
         if getattr(args, "max_n", 0) < 0:
             raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
-        if args.verb == "gen":
-            return _cmd_gen(args)
-        if args.verb == "complete":
-            return _cmd_complete(args)
-        if args.verb == "check":
-            return _cmd_check(args, budget)
-        if args.verb == "counterexample":
-            return _cmd_counterexample(args)
-        if args.verb == "ordinal":
-            return _cmd_ordinal(args)
-        return _cmd_render(args)
+        return {"gen": _cmd_gen, "complete": _cmd_complete, "check": _cmd_check,
+                "counterexample": _cmd_counterexample, "ordinal": _cmd_ordinal,
+                "render": _cmd_render}[args.verb](args)
     except (CapacityExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -10,7 +10,8 @@ so instead of claiming a verification that never ran.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import Counter
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import product
 
@@ -601,8 +602,14 @@ def check_kurepa_atoms(k: int = 3) -> CheckReport:
 # --- suites -------------------------------------------------------------------
 
 SUITES = ("thm21", "thm31", "cor23", "cor32", "lemma51", "acc", "kurepa", "thm21-id")
-# the suites with one report per corpus instance
-PER_INSTANCE = ("thm21", "cor23", "cor32", "acc", "thm21-id")
+# the suites with one report per corpus instance, each with its check
+PER_INSTANCE = {
+    "thm21": check_theorem_2_1,
+    "cor23": check_corollary_2_3_hypothesis,
+    "cor32": check_corollary_3_2,
+    "acc": lambda P, iid, budget: check_acc(P, iid),
+    "thm21-id": check_theorem_2_1_id,
+}
 
 
 def chains_battery(max_len: int = 3) -> list[Poset]:
@@ -615,47 +622,38 @@ def chains_battery(max_len: int = 3) -> list[Poset]:
 
 
 def run_suite(name: str, max_n: int = 5, budget: int | None = DEFAULT_BUDGET,
-              k: int = 3) -> list[CheckReport]:
-    """Reports of one suite; every suite but kurepa reads the corpus up to
-    max_n, and only those build it."""
+              k: int = 3) -> Iterator[CheckReport]:
+    """Yield the reports of one suite, each as it is made.  Every suite but
+    kurepa reads the corpus up to max_n, and only those build it.  Nothing
+    runs, not even the name check, until the first report is asked for."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     if name == "kurepa":
-        return [check_kurepa_atoms(kk) for kk in sorted({2, k})]
-    corpus = generate_corpus(max_n)
-    if name == "lemma51":
-        return check_lemma_5_1(corpus, chains_battery(3), "chains<=3", budget)
-    out = []
-    for iid, P in corpus.items():
-        if name == "thm21":
-            out.append(check_theorem_2_1(P, iid, budget))
-        elif name == "thm31":
+        # both are built before either is yielded, so a bad k yields nothing
+        yield from [check_kurepa_atoms(kk) for kk in sorted({2, k})]
+    elif name == "lemma51":
+        yield from check_lemma_5_1(generate_corpus(max_n), chains_battery(3), "chains<=3",
+                                   budget)
+    elif name == "thm31":
+        for iid, P in generate_corpus(max_n).items():
             SS = classify(P)
             if SS.is_upper:
-                out.append(check_theorem_3_1(SS, iid))
-        elif name == "cor23":
-            out.append(check_corollary_2_3_hypothesis(P, iid, budget))
-        elif name == "cor32":
-            out.append(check_corollary_3_2(P, iid, budget))
-        elif name == "acc":
-            out.append(check_acc(P, iid))
-        elif name == "thm21-id":
-            out.append(check_theorem_2_1_id(P, iid, budget))
-    return out
+                yield check_theorem_3_1(SS, iid)
+    else:
+        check = PER_INSTANCE[name]
+        yield from (check(P, iid, budget) for iid, P in generate_corpus(max_n).items())
 
 
-def summarize(reports: list[CheckReport], corpus: Corpus | None = None) -> str:
-    """One-line human summary; an all-holds run over the whole corpus of a
-    suite that reports once per corpus instance counts per size."""
-    verdicts = [r.verdict for r in reports]
-    if verdicts and all(v == HOLDS for v in verdicts):
-        if (corpus is not None and all(r.check in PER_INSTANCE for r in reports)
-                and len(reports) == sum(len(row) for row in corpus.by_size)):
-            counts = "+".join(str(len(row)) for row in reversed(corpus.by_size))
-            return f"{counts} instances: holds"
-        return f"{len(reports)} instances: holds"
-    if verdicts and all(v == VACUOUS for v in verdicts):
-        return f"{len(reports)} instances: vacuous"
-    parts = [f"{verdicts.count(v)} {v}" for v in (HOLDS, VACUOUS, FAILS, UNKNOWN)
-             if v in verdicts]
-    return f"{len(reports)} instances: " + ", ".join(parts)
+def summarize(tally: Counter[str], by_size: tuple[tuple[Poset, ...], ...] | None = None) -> str:
+    """One-line human summary of one suite's verdict tally.  Given the
+    corpus rows of a suite that reports once per corpus instance, an
+    all-holds run over the whole corpus counts per size."""
+    total = sum(tally.values())
+    if by_size is not None and tally[HOLDS] == total == sum(len(row) for row in by_size):
+        counts = "+".join(str(len(row)) for row in reversed(by_size))
+        return f"{counts} instances: holds"
+    for v in (HOLDS, VACUOUS):
+        if total and tally[v] == total:
+            return f"{total} instances: {v}"
+    parts = [f"{tally[v]} {v}" for v in (HOLDS, VACUOUS, FAILS, UNKNOWN) if tally[v]]
+    return f"{total} instances: " + ", ".join(parts)

@@ -417,6 +417,62 @@ def test_check_all_concatenates_every_suite(capsys, tmp_path):
         assert (rc, out) == (0, "") and target.read_text() == want
 
 
+def test_check_writes_each_report_before_the_next_is_made(capsys, monkeypatch, tmp_path):
+    from posetideals import cli
+    from posetideals.poset import CapacityExceeded
+    from posetideals.verification import CheckReport
+
+    seen = []
+
+    def stub(name, stop=False, **kwargs):
+        yield CheckReport(name, "a", "holds")
+        seen.append(capsys.readouterr().out)
+        if stop:
+            raise CapacityExceeded("stub")
+        yield CheckReport(name, "b", "holds")
+
+    monkeypatch.setattr(cli, "run_suite", stub)
+    first = {"text": "thm21 a: holds\n",
+             "json": '{"check":"thm21","instance":"a","verdict":"holds","witness":null}\n'}
+    rest = {"text": "thm21 b: holds\n2 instances: holds\n",
+            "json": '{"check":"thm21","instance":"b","verdict":"holds","witness":null}\n'}
+    for fmt in ("text", "json"):
+        seen.clear()
+        rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "thm21")
+        assert (rc, seen, out) == (0, [first[fmt]], rest[fmt])
+    # a run that stops keeps what it wrote, on stdout and in --out
+    monkeypatch.setattr(cli, "run_suite", lambda name, **k: stub(name, stop=True, **k))
+    seen.clear()
+    rc, out, err = run_cli(capsys, "check", "--suite", "thm21")
+    assert (rc, seen, out) == (3, [first["text"]], "") and err == "error: stub\n"
+    target = tmp_path / "part.txt"
+    rc, out, _ = run_cli(capsys, "check", "--suite", "thm21", "--out", str(target))
+    assert (rc, out) == (3, "") and target.read_text() == first["text"]
+
+
+def test_check_all_keeps_the_suites_written_before_an_error(capsys):
+    # kurepa, the seventh suite, refuses --k 100000000 at the capacity check
+    for fmt in ("text", "json"):
+        want = ""
+        for suite in ("thm21", "thm31", "cor23", "cor32", "lemma51", "acc"):
+            rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", suite,
+                                 "--max-n", "2")
+            assert rc == 0
+            want += out
+        rc, out, err = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
+                               "--max-n", "2", "--k", "100000000")
+        assert (rc, out) == (3, want) and err.startswith("error: ")
+
+
+def test_check_that_stops_before_any_report_creates_no_file(capsys, tmp_path):
+    target = tmp_path / "none.txt"
+    for argv, code in ((("--suite", "thm21", "--max-n", "9"), 3),
+                       (("--suite", "kurepa", "--k", "1"), 2)):
+        rc, out, err = run_cli(capsys, "check", *argv, "--out", str(target))
+        assert (rc, out) == (code, "") and err.startswith("error: ")
+        assert not target.exists()
+
+
 LEMMA51_UNKNOWN = [
     {"check": f"lemma51.{c}", "instance": "chains<=3", "verdict": "unknown",
      "witness": {"budget": 1}}
