@@ -131,10 +131,10 @@ def semilattice_homs(S0: SemilatticeStructure, T: SemilatticeStructure) -> Itera
     Images of the join-irreducible elements determine the rest: every
     element of a finite upper semilattice is the join of the irreducibles
     below it.  iter_maps enumerates the isotone maps from the irreducibles'
-    subposet into T, unbounded; each extends by joins and is then verified
-    for join preservation and surjectivity on the full map, never trusting
-    the generator coverage.  With |S0| < |T| it returns before searching:
-    an image has at most |S0| points.
+    subposet into T, within its default budget; each extends by joins and
+    is then verified for join preservation and surjectivity on the full
+    map, never trusting the generator coverage.  With |S0| < |T| it
+    returns before searching: an image has at most |S0| points.
     """
     if not (S0.is_upper and T.is_upper):
         raise ValueError("semilattice_homs requires upper semilattices")
@@ -144,7 +144,7 @@ def semilattice_homs(S0: SemilatticeStructure, T: SemilatticeStructure) -> Itera
     J, ji = induced(A, _join_irreducibles(S0))
     below = [[k for k, j in enumerate(ji) if A.leq(j, x)] for x in range(A.n)]
     pairs = [(x, y) for x in range(A.n) for y in range(A.n)]
-    for g in iter_maps(J, B, ISOTONE, budget=None):
+    for g in iter_maps(J, B, ISOTONE):
         img = tuple(_fold_join(T, [g[k] for k in ks]) for ks in below)
         if any(img[S0.join[x][y]] != T.join[img[x]][img[y]] for x, y in pairs):
             continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 
-from .morphisms import MonotoneMap, iter_maps, map_kind
+from .morphisms import DEFAULT_BUDGET, MonotoneMap, iter_maps, map_kind
 from .poset import (
     CapacityExceeded,
     Poset,
@@ -241,10 +241,10 @@ def principal_embedding(P: Poset) -> MonotoneMap:
     return MonotoneMap(P, fam.order, image, kind)
 
 
-def x_down(P: Poset, X: Sequence[Poset], budget: int | None = None) -> FamilyPoset:
+def x_down(P: Poset, X: Sequence[Poset], budget: int = DEFAULT_BUDGET) -> FamilyPoset:
     """Downsets of P arising as down-closures of isotone images of members
     of X.  The maps are enumerated by backtracking, one source poset at a
-    time; distinct maps with the same closure collapse."""
+    time, each within budget; distinct maps with the same closure collapse."""
     found: set[int] = set()
     down = P.down
     for Q in X:

@@ -78,7 +78,7 @@ def map_kind(A: Poset, B: Poset, img) -> str | None:
 
 
 def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
-              budget: int | None = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
+              budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
     """All isotone (or all strictly isotone) maps A -> B, as image tuples.
 
     Source elements are assigned along a fixed linear extension of A with
@@ -86,10 +86,10 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
     particular the first witness) is deterministic.
 
     An element's legal targets are one mask of B, the AND of one mask per
-    lower cover (forward checking): the targets above (strictly, for
-    strictly isotone maps) the cover's image.  Lower covers suffice, since
-    the covers' own images already respect theirs.  Candidates are taken
-    lowest bit first.
+    lower cover (forward checking, over A.lower_covers, found once per
+    poset): the targets above (strictly, for strictly isotone maps) the
+    cover's image.  Lower covers suffice, since the covers' own images
+    already respect theirs.  Candidates are taken lowest bit first.
 
     A strictly isotone map sends a chain onto a chain of the same length,
     so it lowers no element's height.  When A's greatest height
@@ -100,8 +100,8 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
     above that cover's image is at least as high, so forward checking
     keeps only high enough targets.
 
-    Budget nodes are counted per candidate index, as if each target were
-    tried in turn: an element is charged one node per target index up to
+    Every search counts budget nodes, per candidate index, as if each
+    target were tried in turn: an element is charged one node per target index up to
     each candidate it takes, and the remaining indices once its mask runs
     out.  Exhausting the budget raises BudgetExceeded rather than returning
     a partial answer, after exactly the yields a one-candidate-at-a-time
@@ -119,23 +119,8 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
         return
     full = B.full_mask
     above = B.up if kind == ISOTONE else [row ^ 1 << f for f, row in enumerate(B.up)]
-    # covers[t]: the lower covers of position t's element.  bits() is
-    # inlined: most searches end within a few nodes, so this set-up is a
-    # large share of their cost
     order = linear_extension(A)
-    up, down = A.up, A.down
-    covers = []
-    for s in order:
-        lower = down[s] ^ 1 << s
-        found = []
-        rest = lower
-        while rest:
-            low = rest & -rest
-            c = low.bit_length() - 1
-            if up[c] & lower == low:
-                found.append(c)
-            rest ^= low
-        covers.append(found)
+    covers = [A.lower_covers[s] for s in order]  # covers[t]: of order[t]
     last = A.n - 1
     img = [0] * A.n
     cands = [full] * A.n  # candidates not yet taken at each depth
@@ -145,12 +130,11 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
     while t >= 0:
         m = cands[t]
         low = m & -m
-        if budget is not None:
-            upto = low.bit_length() if low else B.n
-            nodes += upto - charged[t]
-            charged[t] = upto
-            if nodes > budget:
-                raise BudgetExceeded(budget)
+        upto = low.bit_length() if low else B.n
+        nodes += upto - charged[t]
+        charged[t] = upto
+        if nodes > budget:
+            raise BudgetExceeded(budget)
         if not low:
             t -= 1
             continue
@@ -168,7 +152,7 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
 
 
 def exists_map(A: Poset, B: Poset, kind: str,
-               budget: int | None = DEFAULT_BUDGET) -> MonotoneMap | None:
+               budget: int = DEFAULT_BUDGET) -> MonotoneMap | None:
     """First witness of the requested class, or None if none exists.
 
     The returned map is re-verified against its class before being handed

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .completions import FamilyPoset
+from .completions import FamilyPoset, _family
 from .morphisms import MonotoneMap
 from .poset import (
     MAX_ELEMENTS,
@@ -19,7 +19,6 @@ from .poset import (
     from_up_rows,
     hasse_covers,
     refine_colours,
-    render_elemset,
     transitive_closure,
     validate_up_rows,
 )
@@ -65,12 +64,22 @@ def poset_from_json(doc: dict) -> Poset:
     if not _is_int(n) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     _check_capacity(n)
-    leq = doc.get("leq", [])
-    if not isinstance(leq, (list, tuple)):
-        raise ValueError("leq must be a list of pairs")
     labels = doc.get("labels")
     if labels is not None and not (isinstance(labels, (list, tuple)) and len(labels) == n):
         raise ValueError(f"labels must be a list of {n} names")
+    rows = _leq_rows(doc.get("leq", []), n)
+    if labels is not None:
+        labels = tuple(str(x) for x in labels)
+    # antisymmetry is validated on the closure
+    return validate_up_rows(transitive_closure(rows), labels=labels)
+
+
+def _leq_rows(leq, n: int) -> list[int]:
+    """The pairs of a document's leq list as reflexive up-rows over n
+    elements, not closed; ValueError unless leq is a list of pairs of
+    integers in range."""
+    if not isinstance(leq, (list, tuple)):
+        raise ValueError("leq must be a list of pairs")
     rows = [1 << i for i in range(n)]
     for pair in leq:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -80,10 +89,7 @@ def poset_from_json(doc: dict) -> Poset:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"leq pair {pair} out of range")
         rows[i] |= 1 << j
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-    # antisymmetry is validated on the closure
-    return validate_up_rows(transitive_closure(rows), labels=labels)
+    return rows
 
 
 def family_to_json(F: FamilyPoset) -> dict:
@@ -96,8 +102,13 @@ def family_to_json(F: FamilyPoset) -> dict:
 
 
 def family_order_from_json(doc: dict) -> Poset:
-    """Rebuild just the inclusion order of a dumped family, for rendering;
-    a key outside FAMILY_KEYS raises ValueError."""
+    """Rebuild just the inclusion order of a dumped family, for rendering.
+
+    The order comes from the sets alone, by the builder every family uses
+    (so past FAMILY_CAP sets it raises CapacityExceeded), and leq must
+    agree with it: every pair an inclusion, every cover pair given.  Sets
+    that are not strictly ascending, a contradictory leq or a key outside
+    FAMILY_KEYS raise ValueError."""
     _check_keys(doc, FAMILY_KEYS, "family")
     base_n, sets = doc.get("base_n"), doc.get("sets")
     if not _is_int(base_n) or not 0 <= base_n <= MAX_ELEMENTS:
@@ -105,13 +116,19 @@ def family_order_from_json(doc: dict) -> Poset:
     if not (isinstance(sets, list)
             and all(_is_int(m) and 0 <= m < 1 << base_n for m in sets)):
         raise ValueError(f"sets must be a list of masks over {base_n} elements")
+    if any(a >= b for a, b in zip(sets, sets[1:])):
+        raise ValueError("sets must be strictly ascending")
     base = from_up_rows([1 << i for i in range(base_n)])  # no labels: members print as indices
-    inner = {
-        "n": len(sets),
-        "leq": doc.get("leq", []),
-        "labels": [render_elemset(base, m) for m in sets],
-    }
-    return poset_from_json(inner)
+    order = _family(base, sets, doc.get("kind")).order
+    rows = _leq_rows(doc.get("leq", []), order.n)
+    for i, row in enumerate(rows):
+        extra = row & ~order.up[i]
+        if extra:
+            raise ValueError(f"leq pair {[i, extra.bit_length() - 1]} is not an inclusion")
+    for i, j in hasse_covers(order):
+        if not rows[i] >> j & 1:
+            raise ValueError(f"leq omits the cover pair {[i, j]}")
+    return order
 
 
 def invariant_hash(P: Poset) -> str:

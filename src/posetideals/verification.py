@@ -160,7 +160,7 @@ def generate_corpus(max_n: int = 5, ceiling: int = CORPUS_CEILING) -> Corpus:
 
 
 def check_theorem_2_1(P: Poset, instance: str = "adhoc",
-                      budget: int | None = DEFAULT_BUDGET) -> CheckReport:
+                      budget: int = DEFAULT_BUDGET) -> CheckReport:
     """No strictly isotone map from the chain-generated ideals of P into P.
 
     The family holds the empty ideal and the down-set of every element,
@@ -180,7 +180,7 @@ def check_theorem_2_1(P: Poset, instance: str = "adhoc",
 
 
 def check_theorem_2_1_id(P: Poset, instance: str = "adhoc",
-                         budget: int | None = DEFAULT_BUDGET) -> CheckReport:
+                         budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Negative control for thm21: with the nonempty ideals id(P) in place
     of the chain-generated ideals, a strictly isotone map into P exists.
 
@@ -227,7 +227,7 @@ def check_theorem_3_1(S: Poset | SemilatticeStructure,
 
 
 def check_corollary_2_3_hypothesis(P: Poset, instance: str = "adhoc",
-                                   budget: int | None = DEFAULT_BUDGET) -> CheckReport:
+                                   budget: int = DEFAULT_BUDGET) -> CheckReport:
     """Search for a strictly isotone self-map of P into a principal up-set
     over a nonminimal element.
 
@@ -263,7 +263,7 @@ def check_corollary_2_3_hypothesis(P: Poset, instance: str = "adhoc",
 
 
 def check_corollary_3_2(P: Poset, instance: str = "adhoc",
-                        budget: int | None = DEFAULT_BUDGET) -> CheckReport:
+                        budget: int = DEFAULT_BUDGET) -> CheckReport:
     """No isotone map from any subset of P onto all downsets of P.
 
     Settled by counting: the image of a subset has at most |P| points,
@@ -466,7 +466,7 @@ def kurepa_atoms_trace(k: int = 3) -> tuple[KurepaTrace, MonotoneMap]:
 
 
 def _cofinal_image_exists(R: Poset, Q: Poset, Qp: Poset,
-                          budget: int | None) -> bool:
+                          budget: int) -> bool:
     prod = direct_product(Q, Qp)
     for img in iter_maps(R, prod, ISOTONE, budget=budget):
         if down_closure(prod, mask_of(img)) == prod.full_mask:
@@ -475,7 +475,7 @@ def _cofinal_image_exists(R: Poset, Q: Poset, Qp: Poset,
 
 
 def check_lemma_5_1(corpus: Corpus, X: list[Poset], x_name: str = "X",
-                    budget: int | None = DEFAULT_BUDGET) -> list[CheckReport]:
+                    budget: int = DEFAULT_BUDGET) -> list[CheckReport]:
     """Evaluate the downset-operator lemma for a class X of posets.
 
     Reports, in order:
@@ -523,7 +523,7 @@ def _pair_failure(iid: str, XD: tuple[int, ...], Id: FamilyPoset | None,
 
 
 def _lemma_5_1_reports(corpus: Corpus, X: list[Poset], x_name: str,
-                       budget: int | None) -> list[CheckReport]:
+                       budget: int) -> list[CheckReport]:
     ib = all(is_directed(Q, Q.full_mask) for Q in X)
     iia_witness = next(({"pair": (Q.up, Qp.up)} for Q, Qp in product(X, X)
                         if not any(_cofinal_image_exists(R, Q, Qp, budget) for R in X)),
@@ -621,7 +621,7 @@ def chains_battery(max_len: int = 3) -> list[Poset]:
     return out
 
 
-def run_suite(name: str, max_n: int = 5, budget: int | None = DEFAULT_BUDGET,
+def run_suite(name: str, max_n: int = 5, budget: int = DEFAULT_BUDGET,
               k: int = 3) -> Iterator[CheckReport]:
     """Yield the reports of one suite, each as it is made.  Every suite but
     kurepa reads the corpus up to max_n, and only those build it.  Nothing

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import antichain, chain, diamond, posets, vee, wedge
-from oracles import free_property_naive, semilattice_homs_naive
+from oracles import free_property_naive, join_table_naive, members, semilattice_homs_naive
 from posetideals import (
     classify,
     fdown,
@@ -75,6 +75,21 @@ def test_subsemilattices_of_the_diamond():
     assert 0b0110 not in subs and 0b0111 not in subs
     with pytest.raises(ValueError):
         list(subsemilattices(classify(vee())))
+
+
+def test_subsemilattices_against_the_subset_scan(corpus4):
+    # every join-closed subset of each upper semilattice with n <= 4, found
+    # by scanning all subsets against the join table read off the order
+    uppers = 0
+    for _, P in corpus4.items():
+        join = join_table_naive(P.n, P.leq)
+        if any(j is None for row in join for j in row):
+            continue
+        uppers += 1
+        closed = [m for m in range(1 << P.n)
+                  if all(join[a][b] in members(m) for a in members(m) for b in members(m))]
+        assert list(subsemilattices(classify(P))) == closed, P.up
+    assert uppers == 10
 
 
 def test_substructure_restricts():

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env
-from posetideals import iterate_id
+from posetideals import completions, iterate_id
 from posetideals.cli import COMPLETE_OPS, IDPOW_MAX_K, main
 from posetideals.poset import LABEL_CAP, MAX_ELEMENTS
 from posetideals.serialize import poset_from_json, poset_to_json
@@ -156,6 +156,15 @@ def test_bad_documents_are_rejected(capsys, monkeypatch, verb, doc, code):
     {"sets": [0, 4], "base_n": 2, "leq": [[0, 1]]},
     {"sets": "01", "base_n": 1},
     {"sets": [0, 1], "base_n": 1, "leq": [[0, 1]], "up": [3, 2]},
+    # the order comes from the sets, and leq must agree with it: {1,0}
+    # drawn below the empty set, a missing cover {0} < {1,0}, no leq at all
+    {"kind": "ideal", "base_n": 2, "sets": [0, 1, 3], "leq": [[2, 0]]},
+    {"kind": "ideal", "base_n": 2, "sets": [0, 1, 3], "leq": [[0, 1], [0, 2]]},
+    {"kind": "ideal", "base_n": 2, "sets": [0, 1, 3]},
+    # sets repeated or out of order
+    {"kind": "ideal", "base_n": 2, "sets": [3, 3], "leq": []},
+    {"kind": "ideal", "base_n": 2, "sets": [0, 3, 1], "leq": []},
+    {"kind": "ideal", "base_n": 2, "sets": [3, 0], "leq": []},
 ])
 def test_render_rejects_bad_families(capsys, monkeypatch, doc):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
@@ -629,6 +638,39 @@ def test_render_family(capsys, diamond_file, monkeypatch):
     rc, out, _ = run_cli(capsys, "render")
     assert rc == 0
     assert 'label="∅"' in out and 'label="{3,2,1,0}"' in out
+
+
+def test_render_family_past_the_poset_envelope(capsys, tmp_path, monkeypatch):
+    # a family is ordered from its sets, under the family cap, so the 128
+    # downsets of a 7-antichain render though they pass the 64-element envelope
+    doc = tmp_path / "antichain7.json"
+    doc.write_text(json.dumps({"n": 7, "leq": []}))
+    _, fam_json, _ = run_cli(capsys, "complete", "--op", "down", "--in", str(doc))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(fam_json))
+    rc, out, _ = run_cli(capsys, "render")
+    assert rc == 0
+    assert out.count(" [label=") == 128 and out.count(" -> ") == 7 * 64
+
+
+def test_render_family_over_the_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(completions, "FAMILY_CAP", 2)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+        {"kind": "down", "base_n": 2, "sets": [0, 1, 2]})))
+    rc, out, err = run_cli(capsys, "render")
+    assert (rc, out) == (3, "") and err.startswith("error: ")
+
+
+def test_render_family_accepts_any_pairs_between_covers_and_inclusions(capsys, monkeypatch):
+    # like a poset document's, a family's leq may list more than the covers
+    docs = [{"kind": "ideal", "base_n": 2, "sets": [0, 1, 3], "leq": leq}
+            for leq in ([[0, 1], [1, 2]], [[0, 1], [1, 2], [0, 2], [1, 1]])]
+    outs = []
+    for doc in docs:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc, out, _ = run_cli(capsys, "render")
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1] and " 0 -> 1;" in outs[0] and " 0 -> 2;" not in outs[0]
 
 
 def test_argparse_usage_exits(capsys):

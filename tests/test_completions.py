@@ -1,9 +1,10 @@
 """Downset and ideal families and the free join-closure."""
 
+import random
+from functools import cached_property
+
 import pytest
 from hypothesis import given, settings
-
-import random
 
 from conftest import antichain, chain, diamond, posets, relabel, vee
 from oracles import (
@@ -196,6 +197,21 @@ def test_x_down_matches_the_function_scan():
     for P in (diamond(), vee(), chain(3), antichain(3)):
         assert set(x_down(P, X).sets) == x_down_naive(P, X)
     assert x_down(diamond(), []).sets == ()
+
+
+def test_x_down_finds_each_battery_chains_covers_once(monkeypatch, corpus5):
+    # lower covers are cached on each source poset, so a sweep over the
+    # corpus walks each member of X once, and never a target
+    computed = []
+    real = Poset.lower_covers.func
+    spy = cached_property(lambda P: computed.append(P) or real(P))
+    spy.__set_name__(Poset, "lower_covers")
+    monkeypatch.setattr(Poset, "lower_covers", spy)
+    battery = chains_battery(3)
+    for _, P in corpus5.items():
+        x_down(P, battery)
+    assert len(computed) == len(battery)
+    assert all(Q is C for Q, C in zip(computed, battery))
 
 
 def test_x_down_with_chains_gives_nonempty_principal_downsets():

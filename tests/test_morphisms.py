@@ -1,5 +1,6 @@
 """Map search and classification, canonical forms, the ascending replay."""
 
+import inspect
 import random
 from collections import Counter
 from itertools import product
@@ -37,9 +38,11 @@ from posetideals import (
     iter_maps,
     kurepa_chain,
     map_kind,
+    x_down,
 )
 from posetideals import morphisms
 from posetideals.morphisms import (
+    DEFAULT_BUDGET,
     EMBEDDING,
     ISOMORPHISM,
     ISOTONE,
@@ -125,10 +128,10 @@ def test_iter_maps_against_the_reference(corpus4):
     for A in sources:
         for B in targets:
             for kind in (ISOTONE, STRICTLY_ISOTONE):
-                # every map, in order, against the reference without the
-                # height bound: the bound drops no map
+                # every map, in order, against the unbudgeted reference
+                # without the height bound: the bound drops no map
                 want = _run_maps(iter_maps_reference(A, B, kind, None))
-                assert _run_maps(iter_maps(A, B, kind, None)) == want, (A.up, B.up, kind)
+                assert _run_maps(iter_maps(A, B, kind)) == want, (A.up, B.up, kind)
                 for budget in (0, 1, 2, 4, 9, 23, 60):
                     want = _run_maps(iter_maps_reference(A, B, kind, budget,
                                                          height_bound=True))
@@ -151,6 +154,13 @@ def test_budget_raises():
     with pytest.raises(BudgetExceeded) as e:
         list(iter_maps(antichain(4), antichain(4), ISOTONE, budget=3))
     assert e.value.budget == 3
+
+
+def test_every_map_search_is_budgeted_by_default():
+    # the budget is always a number: no search runs unbounded by default
+    for search in (iter_maps, exists_map, x_down):
+        budget = inspect.signature(search).parameters["budget"]
+        assert (budget.default, budget.annotation) == (DEFAULT_BUDGET, "int"), search
 
 
 def test_exists_map_reports_strongest_kind():

@@ -150,6 +150,15 @@ def test_covers_regenerate_the_order(P):
     assert tuple(transitive_closure_naive(rows)) == P.up
 
 
+def test_lower_covers_against_the_naive_covers(corpus6):
+    cases = [P for _, P in corpus6.items()] + seeded_relabelings(corpus6, 3, seed=5)
+    for P in cases:
+        naive = covers_naive(P)
+        assert P.lower_covers == tuple(tuple(i for i in range(P.n) if (i, j) in naive)
+                                       for j in range(P.n)), P.up
+        assert hasse_covers(P) == tuple(sorted(naive))
+
+
 relations = st.integers(0, 6).flatmap(
     lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
 
