@@ -47,6 +47,7 @@ from .verification import (
     build_chain_bundle,
     build_idemb_tower,
     check_acc,
+    check_census,
     check_corollary_2_3_hypothesis,
     check_corollary_3_2,
     check_lemma_5_1,

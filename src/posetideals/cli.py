@@ -37,6 +37,7 @@ from .verification import (
     build_atoms_lattice,
     build_chain_bundle,
     build_idemb_tower,
+    check_census,
     generate_corpus,
     run_suite,
     summarize,
@@ -137,7 +138,8 @@ def _cmd_gen(args) -> int:
         counts = " ".join(f"n={n}:{len(row)}" for n, row in enumerate(corpus.by_size))
         total = sum(len(row) for row in corpus.by_size)
         _write([f"{counts} total={total}\n"], args.out)
-    return 0
+    # a class count off OEIS A000112 is a failed check, as in check --suite census
+    return 1 if any(r.verdict == FAILS for r in check_census(corpus)) else 0
 
 
 def _cmd_complete(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .poset import Poset, bits, linear_extension, previous_twins, refine_colours
+from .poset import Poset, linear_extension, previous_twins, refine_colours
 from .record import Record, setfield
 
 ISOTONE = "isotone"
@@ -200,16 +200,20 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     position may take is the lowest-index unplaced element of its colour,
     so the search has a single leaf: the elements in ascending colour,
     ties by index.  Sorting by colour gives that leaf directly, and it is
-    the canonical relabeling.
+    the canonical relabeling.  A twin class never splits, so a round
+    that reaches the twin partition is final: the refinement is pulled
+    only until it does, and run to its end only when it does not.
     """
     n = P.n
     if n == 0:
         return Poset(0, (), None), ()
     rel = P.up
-    colours, _ = refine_colours(P)
     twin = previous_twins(P)
-    if twin.count(0) == len(set(colours)):
-        best_perm = tuple(sorted(range(n), key=colours.__getitem__))
+    classes = twin.count(0)
+    for colours, table in refine_colours(P):
+        if len(table) == classes:
+            best_perm = tuple(sorted(range(n), key=colours.__getitem__))
+            break
     else:
         best_perm = _least_relabelling(rel, colours, twin)
     new_bit = [0] * n
@@ -218,8 +222,11 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     rows = []
     for old in best_perm:
         row = 0
-        for j in bits(rel[old]):
-            row |= new_bit[j]
+        rest = rel[old]
+        while rest:
+            low = rest & -rest
+            row |= new_bit[low.bit_length() - 1]
+            rest ^= low
         rows.append(row)
     return Poset(n, tuple(rows), None), best_perm
 

@@ -343,8 +343,9 @@ def linear_extension(P: Poset) -> tuple[int, ...]:
     return tuple(sorted(range(P.n), key=[row.bit_count() for row in P.down].__getitem__))
 
 
-def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
-    """Stable colour refinement of P, and every round's signature table.
+def refine_colours(P: Poset) -> Iterator[tuple[list[int], list[tuple]]]:
+    """Stable colour refinement of P, yielding each round's colours and
+    signature table as the round ends.
 
     All elements start with colour 0.  A round gives element i the
     signature (colour of i, sorted colours strictly below i, sorted colours
@@ -357,8 +358,10 @@ def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
     A signature begins with the element's old colour, so a round whose
     table has exactly one entry per old colour ranks every element by its
     old colour: that round changes nothing, and the loop stops at it,
-    having recorded its table.  The empty poset has no colour, and its
-    one round has an empty table.
+    having yielded the unchanged colours with its table.  The empty poset
+    has no colour, and its one round has an empty table.  Nothing of a
+    round is built before the previous round has been taken, so a caller
+    that knows the colours are final can stop pulling.
     """
     n = P.n
     below = [row ^ 1 << i for i, row in enumerate(P.down)]
@@ -367,15 +370,15 @@ def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
     k = min(n, 1)  # the number of colours
     # with one colour, a signature is two counts
     sigs = [(0, (0,) * b.bit_count(), (0,) * a.bit_count()) for b, a in zip(below, above)]
-    rounds = []
     for _ in range(n + 1):
         table = sorted(set(sigs))
-        rounds.append(table)
         if len(table) == k:
-            break
+            yield colours, table
+            return
         rank = {s: c for c, s in enumerate(table)}
         colours = [rank[s] for s in sigs]
         k = len(table)
+        yield colours, table
         classes = [0] * k  # classes[c]: mask of the elements coloured c
         for i, c in enumerate(colours):
             classes[c] |= 1 << i
@@ -392,7 +395,6 @@ def refine_colours(P: Poset) -> tuple[list[int], list[list[tuple]]]:
                 if j:
                     sa += (c,) * j
             sigs.append((colours[i], sb, sa))
-    return colours, rounds
 
 
 def previous_twins(P: Poset) -> list[int]:

@@ -142,7 +142,9 @@ def invariant_hash(P: Poset) -> str:
     """
     import hashlib  # imported here: only this function needs it, and it is slow to load
 
-    colours, rounds = refine_colours(P)
+    rounds = []
+    for colours, table in refine_colours(P):
+        rounds.append(table)
     payload = json_dumps([P.n, rounds, sorted(colours)])
     return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -63,6 +63,8 @@ VACUOUS = "vacuous"
 UNKNOWN = "unknown"
 
 CORPUS_CEILING = 6
+# OEIS A000112: the number of posets on n unlabelled points, n = 0..9
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231)
 
 
 class CheckReport(Record):
@@ -103,10 +105,19 @@ class Corpus(Record):
 
 
 def _extend_by_maximal(P: Poset, downset: int) -> Poset:
-    """Adjoin one new maximal element sitting exactly above a downset."""
-    rows = [P.up[i] | (1 << P.n if downset >> i & 1 else 0) for i in range(P.n)]
-    rows.append(1 << P.n)
-    return from_up_rows(rows)
+    """Adjoin one new maximal element sitting exactly above a downset.
+
+    The child's down-rows are known without a transposition: the new
+    element is below no old one, so each old row is P's, and the new row
+    is the downset and the element itself.  They are stored the way
+    Poset.height stores longest_chain_bottoms, so that previous_twins and
+    refine_colours read them instead of transposing the up-rows again."""
+    n = P.n
+    rows = [P.up[i] | (1 << n if downset >> i & 1 else 0) for i in range(n)]
+    rows.append(1 << n)
+    child = from_up_rows(rows)
+    child.__dict__["down"] = P.down + (downset | 1 << n,)
+    return child
 
 
 @lru_cache(maxsize=None)
@@ -308,6 +319,23 @@ def check_acc(P: Poset, instance: str = "adhoc") -> CheckReport:
             break
         stage = emb.target
     return CheckReport("acc", instance, HOLDS)
+
+
+def check_census(corpus: Corpus) -> list[CheckReport]:
+    """One report per corpus size n: the number of classes the corpus
+    holds at n against the known count, OEIS A000112.
+
+    A corpus that keeps two isomorphic posets, or loses a class, passes
+    every other suite, since each checks its instances one at a time; the
+    count is what sees it.  A size past the end of the table is unknown,
+    with its count."""
+    reports = []
+    for n, row in enumerate(corpus.by_size):
+        want = A000112[n] if n < len(A000112) else None
+        verdict = UNKNOWN if want is None else HOLDS if len(row) == want else FAILS
+        reports.append(CheckReport("census", f"n{n}", verdict,
+                                   {"classes": len(row), "expected": want}))
+    return reports
 
 
 # --- named constructions ------------------------------------------------------
@@ -601,7 +629,8 @@ def check_kurepa_atoms(k: int = 3) -> CheckReport:
 
 # --- suites -------------------------------------------------------------------
 
-SUITES = ("thm21", "thm31", "cor23", "cor32", "lemma51", "acc", "kurepa", "thm21-id")
+SUITES = ("thm21", "thm31", "cor23", "cor32", "lemma51", "acc", "kurepa", "thm21-id",
+          "census")
 # the suites with one report per corpus instance, each with its check
 PER_INSTANCE = {
     "thm21": check_theorem_2_1,
@@ -634,6 +663,8 @@ def run_suite(name: str, max_n: int = 5, budget: int = DEFAULT_BUDGET,
     elif name == "lemma51":
         yield from check_lemma_5_1(generate_corpus(max_n), chains_battery(3), "chains<=3",
                                    budget)
+    elif name == "census":
+        yield from check_census(generate_corpus(max_n))
     elif name == "thm31":
         for iid, P in generate_corpus(max_n).items():
             SS = classify(P)

@@ -60,6 +60,26 @@ def test_gen_out_file(tmp_path, capsys):
     assert target.read_text() == "n=0:1 n=1:1 n=2:2 n=3:5 total=9\n"
 
 
+def test_gen_fails_on_a_census_mismatch(capsys, monkeypatch):
+    # an isomorphic duplicate at n=3: gen prints what it holds and exits 1,
+    # and the census suite fails that size alone
+    from posetideals import cli, verification
+    from posetideals.verification import Corpus
+
+    rows = generate_corpus(3).by_size
+    rows = rows[:3] + (rows[3] + rows[3][:1],)
+    corpus = Corpus(3, rows, "duplicated")
+    for mod in (cli, verification):
+        monkeypatch.setattr(mod, "generate_corpus", lambda max_n: corpus)
+    rc, out, _ = run_cli(capsys, "gen", "--max-n", "3")
+    assert (rc, out) == (1, "n=0:1 n=1:1 n=2:2 n=3:6 total=10\n")
+    rc, out, _ = run_cli(capsys, "--format", "json", "gen", "--max-n", "3")
+    assert rc == 1 and len(out.splitlines()) == 10
+    rc, out, _ = run_cli(capsys, "check", "--suite", "census", "--max-n", "3")
+    assert (rc, out.splitlines()[3:]) == (1, ["census n3: fails",
+                                              "4 instances: 3 holds, 1 fails"])
+
+
 def test_gen_over_ceiling(capsys):
     rc, _, err = run_cli(capsys, "gen", "--max-n", "9")
     assert rc == 3 and "error" in err
@@ -513,10 +533,17 @@ def test_lemma51_reports_unknown_on_a_spent_budget(capsys):
 # sha256 of stdout, pinned so that a refactor which changes any byte of it
 # fails here; a deliberate change of output updates these digests.
 CHECK_ALL_SHA256 = {
-    ("5", "text"): "f710e62e12fbf8817bffd3d82f47e841e4e8fb88602c814427fc2c24c3797825",
-    ("5", "json"): "a194f0fe56d363ea8bcc8f4641a8f4f4c1eb8dd52800a3becff357ee72960734",
-    ("6", "text"): "1da2775865c4c4d9d04af9d05828e4f16181052266ebd9c2404f67c374068bb1",
-    ("6", "json"): "51fc888a56aabbdbc118422f0b566b67bc1c41005bc51f35fa660ec7460dd80d",
+    ("5", "text"): "68df00fef8658f898d887c6e1e1ed9d9b1c5a0fd90ff7618ed3c2162dd0b360f",
+    ("5", "json"): "4b49fd6ef8531b2e313df5165cfcf5b660de4727f14dd677cea306737c555d53",
+    ("6", "text"): "651a0940700a3f9ec08b0bf821a750e86d962dabbb962adedf6d1dda4bb9d1b5",
+    ("6", "json"): "0423cef99d9c51691620131fdbc6fea3d8474a94deb6f4c0decdc5212c7dbd30",
+}
+# --format json counterexample; atoms carries two invariant hashes
+COUNTEREXAMPLE_SHA256 = {
+    ("atoms",): "431d9bda0b8123985fb5153429e2063c5c5567f92f83de6337299dacde853bfd",
+    ("chain-bundle",): "dfccf0392cd14df7084ddfbb544a24bd1270a8367a6d6226f13101907768709a",
+    ("idemb-tower", "--k", "1"):
+        "ef33d0e36a8fc70fc750834c348bc56fa66edf482460ccab56c04ed2d7277d36",
 }
 COMPLETE_N4_SHA256 = "83ef0503aac663905b6f740435925edbfa6198d223dcdd47cd640ab97c646681"
 GEN_N6_SHA256 = {
@@ -532,6 +559,10 @@ def test_outputs_match_their_pinned_digests(capsys, monkeypatch):
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
     for fmt, digest in GEN_N6_SHA256.items():
         rc, out, _ = run_cli(capsys, "--format", fmt, "gen", "--max-n", "6")
+        assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    for (name, *rest), digest in COUNTEREXAMPLE_SHA256.items():
+        rc, out, _ = run_cli(capsys, "--format", "json", "counterexample", "--name", name,
+                             *rest)
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
     # every family operator on every n<=4 class, in corpus then operator order
     h = hashlib.sha256()

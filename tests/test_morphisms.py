@@ -49,7 +49,7 @@ from posetideals.morphisms import (
     MAP_KINDS,
     STRICTLY_ISOTONE,
 )
-from posetideals.poset import Poset, disjoint_union
+from posetideals.poset import Poset, disjoint_union, previous_twins
 from posetideals.verification import (
     CHAIN_EXCEEDS_POSET,
     NOT_AN_IDEAL_OF_CHAINS,
@@ -249,6 +249,35 @@ def test_canonical_form_searches_only_when_not_forced(monkeypatch, P, searched):
     canon, cert = canonical_form(Q)
     assert bool(calls) == searched
     assert (canon.up, cert) == canonical_form_reference(Q)
+
+
+def test_canonical_form_pulls_rounds_up_to_the_twin_partition(monkeypatch, corpus6):
+    # a round whose colours number the twin classes is final, so the
+    # refinement is pulled up to the first such round, or to its end when
+    # none is; the colours used are the full refinement's last ones
+    pulled = []
+    refine = morphisms.refine_colours
+
+    def spy(P):
+        for r in refine(P):
+            pulled.append(r)
+            yield r
+
+    monkeypatch.setattr(morphisms, "refine_colours", spy)
+    # the empty poset has no element to colour, and is never refined
+    cases = [P for _, P in corpus6.items()] + seeded_relabelings(corpus6, 3, seed=5)
+    cases = [P for P in cases if P.n]
+    early = 0
+    for P in cases:
+        pulled.clear()
+        canonical_form(P)
+        full = list(refine(P))
+        classes = previous_twins(P).count(0)
+        want = next((t + 1 for t, (_, table) in enumerate(full) if len(table) == classes),
+                    len(full))
+        assert len(pulled) == want and pulled[-1][0] == full[-1][0]
+        early += want < len(full)
+    assert early > 0
 
 
 # --- ascending replay ----------------------------------------------------------

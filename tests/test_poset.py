@@ -268,12 +268,15 @@ def test_the_peel_finds_the_bottoms_of_longest_chains(corpus6):
 
 def test_refine_colours_against_the_reference(corpus6):
     # the loop stops at the round that confirms the colours, and round 0
-    # is built from two counts; colours and every round's table are those
-    # of the reference, down to the empty poset's one empty round
-    assert refine_colours(Poset(0, ())) == ([], [[]])
+    # is built from two counts; the yielded tables are the reference's
+    # rounds and the last colours its colours, down to the empty poset's
+    # one empty round
+    assert list(refine_colours(Poset(0, ()))) == [([], [])]
     cases = [Poset(0, ()), Poset(1, (1,))] + seeded_relabelings(corpus6, 3, seed=7)
     for P in cases:
-        assert refine_colours(P) == refine_colours_reference(P)
+        rounds = list(refine_colours(P))
+        assert ([table for _, table in rounds], rounds[-1][0]) == \
+            refine_colours_reference(P)[::-1]
 
 
 def test_render_elemset():

@@ -85,6 +85,12 @@ def test_invariant_hash_pins():
         "8fc8e2570f1b820836c6f8d5a8aa94dac5e556719357b3e20f3f402f1b4b8f19")
     assert invariant_hash(Poset(1, (1,))) == (
         "a0fbd5c5a9ce3c75c8ee5e4f8683a15407fe071309ee4329e266d39bd2fc8465")
+    # the three-chain and the diamond take a round that only confirms
+    # their colours: a fingerprint that dropped it would change these
+    assert invariant_hash(chain(3)) == (
+        "373b715f4972e383c52092d90e0d6d348197c295e269d7c93feceba404cef1f4")
+    assert invariant_hash(diamond()) == (
+        "f1bb61f3e4378a1bae43d5b7ae19299744cefda89d3cee293ca818f276d34cb5")
 
 
 def test_map_to_json():

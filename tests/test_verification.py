@@ -47,6 +47,7 @@ from posetideals import (
     check_theorem_3_1,
     classify,
     completions,
+    from_up_rows,
     generate_corpus,
     ideals,
     run_suite,
@@ -111,6 +112,36 @@ def test_corpus_canonical_form_calls(monkeypatch):
     monkeypatch.setattr(verification, "canonical_form", counted)
     generate_corpus.__wrapped__(6, ceiling=6)
     assert len(calls) == 442
+
+
+def test_each_child_inherits_its_down_rows(monkeypatch):
+    # the rows _extend_by_maximal stores are what a fresh transposition of
+    # the child's up-rows gives
+    children = []
+    extend = verification._extend_by_maximal
+
+    def spy(P, d):
+        children.append(extend(P, d))
+        return children[-1]
+
+    monkeypatch.setattr(verification, "_extend_by_maximal", spy)
+    generate_corpus.__wrapped__(6, ceiling=6)
+    assert len(children) == 442
+    for Q in children:
+        assert Q.__dict__["down"] == from_up_rows(Q.up).down
+
+
+def test_census_against_a000112(corpus5):
+    reports = verification.check_census(corpus5)
+    assert [(r.check, r.instance, r.verdict) for r in reports] == \
+        [("census", f"n{n}", HOLDS) for n in range(6)]
+    assert reports[5].witness == {"classes": 63, "expected": 63}
+    # a size past the end of the table has no known count
+    point = Poset(0, ())
+    rows = tuple((point,) * k for k in verification.A000112) + ((point,),)
+    reports = verification.check_census(Corpus(len(rows) - 1, rows, "counts"))
+    assert [r.verdict for r in reports] == [HOLDS] * (len(rows) - 1) + [UNKNOWN]
+    assert reports[-1].witness == {"classes": 1, "expected": None}
 
 
 def test_corpus_matches_the_relation_scan(corpus4):
