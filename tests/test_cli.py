@@ -348,6 +348,16 @@ def test_complete_down_stops_at_the_family_cap(capsys, monkeypatch):
     assert rc == 0 and len(json.loads(out)["sets"]) == 1 << 14
 
 
+def test_complete_chain_ideals_of_a_tall_chain(capsys, monkeypatch):
+    # 2^64 chain subsets but only 65 chain ideals, each one downset
+    doc = {"n": 64, "leq": [[i, i + 1] for i in range(63)]}
+    for op, count in (("chId", 65), ("chid", 64)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        rc, out, _ = run_cli(capsys, "complete", "--op", op)
+        assert rc == 0
+        assert json.loads(out)["sets"] == [(1 << k) - 1 for k in range(65 - count, 65)]
+
+
 def test_check_kurepa_text(capsys):
     rc, out, _ = run_cli(capsys, "check", "--suite", "kurepa")
     assert rc == 0

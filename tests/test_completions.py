@@ -6,7 +6,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings
 
-from conftest import antichain, chain, diamond, posets, relabel, vee
+from conftest import antichain, chain, diamond, posets, relabel, seeded_relabelings, vee
 from oracles import (
     chain_downsets_naive,
     downsets_naive,
@@ -55,6 +55,22 @@ def test_ideals_match_the_subset_scan(P):
 def test_chain_ideals_match_the_subset_scan(P):
     assert set(chain_ideals(P, True).sets) == chain_downsets_naive(P, True)
     assert set(chain_ideals(P, False).sets) == chain_downsets_naive(P, False)
+
+
+def test_chain_ideals_match_the_subset_scan_on_the_corpus():
+    # every n<=6 class and three seeded relabellings of each, so the fold
+    # meets linear extensions in many index orders
+    corpus = generate_corpus(6)
+    for P in [P for _, P in corpus.items()] + seeded_relabelings(corpus, 3, 26):
+        for include_empty in (True, False):
+            assert set(chain_ideals(P, include_empty).sets) == \
+                chain_downsets_naive(P, include_empty)
+
+
+def test_chain_ideals_of_a_tall_chain():
+    # 2^64 chain subsets, 65 closures: the fold visits each top once
+    F = chain_ideals(chain(64), include_empty=True)
+    assert F.sets == tuple((1 << k) - 1 for k in range(65))
 
 
 def test_chain_ideals_coincide_with_ideals(corpus4):

@@ -14,10 +14,12 @@ import sys
 import pytest
 
 from conftest import relabel
-from posetideals import completions, morphisms, poset, verification
+from posetideals import algebra, completions, morphisms, poset, verification
 from posetideals.verification import SUITES, generate_corpus, run_suite
 
 _downset_masks = completions.downset_masks
+_chain_ideals = completions.chain_ideals
+_classify = algebra.classify
 
 
 def _no_maps(*args, **kwargs):
@@ -30,6 +32,30 @@ def _downsets_without_the_full_set(P):
 
 def _always_directed(P, d):
     return True
+
+
+def _chain_ideals_without_the_empty_set(P, include_empty):
+    return _chain_ideals(P, False)
+
+
+def _principal_chain_ideals(P, include_empty):
+    if include_empty:
+        return completions._family(P, {0, *P.down}, completions.KIND_CHAIN_IDEAL)
+    return completions._family(P, set(P.down), completions.KIND_NONEMPTY_CHAIN_IDEAL)
+
+
+def _principal_x_down(P, X, budget=morphisms.DEFAULT_BUDGET):
+    return completions._family(P, set(P.down), completions.KIND_XDOWN)
+
+
+def _all_neither(P):
+    return algebra.SemilatticeStructure(P, _classify(P).join, algebra.NEITHER)
+
+
+def _lattices_upper(P):
+    S = _classify(P)
+    return algebra.SemilatticeStructure(
+        P, S.join, algebra.UPPER if S.is_lattice else S.kind)
 
 
 def _identity_form(P):
@@ -62,6 +88,10 @@ MUTANTS = {
     "Poset.lower_covers lists no cover": (
         poset.Poset, "lower_covers", property(lambda P: ((),) * P.n),
         {"thm21-id": "AssertionError", "lemma51": 1}),
+    # the family is then isomorphic to P, which maps into itself strictly
+    "chain_ideals drops the empty set": (
+        completions, "chain_ideals", _chain_ideals_without_the_empty_set,
+        {"thm21": 88, "kurepa": 2}),
     # the corpus keeps isomorphic duplicates, 68 classes at n=5 and not 63,
     # which only the census sees
     "canonical_form returns its input": (
@@ -73,12 +103,30 @@ MUTANTS = {
 # the mutants of the corpus build, whose corpus is built after the patch
 CORPUS_MUTANTS = {name for name, m in MUTANTS.items() if m[1] == "canonical_form"}
 
-# Known mutants that no suite catches yet, each listed once and not gated.
+# Known mutants that no suite catches, each listed once with its reason and
+# not gated: name -> (module or class, attribute, replacement, reason)
 UNGATED = {
-    "_cofinal_image_exists is always true":
+    "_cofinal_image_exists is always true": (
+        verification, "_cofinal_image_exists", lambda *args: True,
         "every suite still passes at n<=5, because the chains of the lemma51 "
         "battery satisfy the pair condition anyway; a lemma51 run over a "
-        "2-antichain battery at n<=6 would close it (iia_to_iib fails on n6/275)",
+        "2-antichain battery at n<=6 would close it (iia_to_iib fails on n6/275)"),
+    "chain_ideals keeps only each element's principal downset": (
+        completions, "chain_ideals", _principal_chain_ideals,
+        "equivalent on finite posets: the down-closure of a finite chain is "
+        "the principal downset of its top"),
+    "x_down returns only the principal downsets": (
+        completions, "x_down", _principal_x_down,
+        "equivalent under the chains battery of lemma51, for the same reason; "
+        "a battery holding an antichain would tell them apart"),
+    "classify calls every poset neither": (
+        algebra, "classify", _all_neither,
+        "thm31 then yields no report, and a suite with no report passes; "
+        "lemma51 then checks its closures on no semilattice and finds no failure"),
+    "classify calls every lattice upper": (
+        algebra, "classify", _lattices_upper,
+        "thm31 reads only is_upper, and lemma51 then checks meets and both "
+        "closures on no lattice, so it finds no failure there"),
 }
 
 
@@ -128,3 +176,11 @@ def test_every_mutant_is_caught(monkeypatch, corpus5, name):
     caught = _catches()
     assert caught, f"no suite catches: {name}"
     assert expected.items() <= caught.items()
+
+
+@pytest.mark.parametrize("name", list(UNGATED))
+def test_every_ungated_mutant_is_still_uncaught(monkeypatch, corpus5, name):
+    # once some suite catches one, it belongs in MUTANTS
+    module, fname, replacement, _ = UNGATED[name]
+    _patch_everywhere(monkeypatch, module, fname, replacement)
+    assert _catches() == {}

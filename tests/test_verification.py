@@ -160,7 +160,7 @@ def test_corpus_members_are_canonical_and_distinct(corpus5):
 
 def test_corpus_ceiling():
     with pytest.raises(CapacityExceeded):
-        generate_corpus(7)
+        generate_corpus(9)
 
 
 def test_theorem_2_1_check():
@@ -642,6 +642,20 @@ def test_run_suite_and_summarize(corpus4):
     # the name is checked when the first report is asked for
     with pytest.raises(ValueError):
         next(run_suite("nope"))
+
+
+def test_run_suite_calls_each_check_by_its_module_name(monkeypatch):
+    # a patched check is the one the suite runs, as a traced one must be
+    calls = []
+    check = verification.check_theorem_2_1
+
+    def counted(*args):
+        calls.append(args[1])
+        return check(*args)
+
+    monkeypatch.setattr(verification, "check_theorem_2_1", counted)
+    assert len(list(run_suite("thm21", 3))) == 9
+    assert calls == [iid for iid, _ in generate_corpus(3).items()]
 
 
 def test_run_suite_thm31_filters_to_upper_semilattices(corpus4):
