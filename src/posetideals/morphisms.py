@@ -183,9 +183,9 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     Placing element ``old`` at position t contributes the code
     ``up << t | down``: ``up`` has one bit per placed element p, set when
     old <= p, and ``down`` one bit set when p <= old, the first placed
-    element most significant.  Both strings are kept up to date for every
-    unplaced element as the prefix grows, so each candidate costs O(1),
-    and codes of equal t order exactly like the 2t-bit tuples they pack.
+    element most significant.  A candidate's code is computed from the
+    placed prefix where it is compared.  Codes of equal t order like the
+    2t-bit tuples they pack, and prefixes of codes compare as tuples.
 
     An element is tried only once its previous twin (previous_twins) is
     placed.  Swapping two unplaced twins is an automorphism fixing the
@@ -200,13 +200,12 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     position may take is the lowest-index unplaced element of its colour,
     so the search has a single leaf: the elements in ascending colour,
     ties by index.  Sorting by colour gives that leaf directly, and it is
-    the canonical relabeling.  A twin class never splits, so a round
-    that reaches the twin partition is final: the refinement is pulled
-    only until it does, and run to its end only when it does not.
+    the canonical relabeling; the empty poset, with no colour and no twin
+    class, is forced.  A twin class never splits, so a round that reaches
+    the twin partition is final: the refinement is pulled only until it
+    does, and run to its end only when it does not.
     """
     n = P.n
-    if n == 0:
-        return Poset(0, (), None), ()
     rel = P.up
     twin = previous_twins(P)
     classes = twin.count(0)
@@ -234,52 +233,36 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
 def _least_relabelling(rel: tuple[int, ...], colours: list[int],
                        twin: list[int]) -> tuple[int, ...]:
     """canonical_form's branch-and-bound: the least relabelling of the
-    up-rows rel within the colour order, skipping twins out of order."""
+    up-rows rel within the colour order, skipping twins out of order.  A
+    prefix of codes above the best leaf's is pruned, and a leaf replaces
+    the best only when less: relabellings are visited in lexicographic
+    order, so the first least leaf is the least certificate."""
     n = len(rel)
     slots = [[old for old in range(n) if colours[old] == c] for c in sorted(colours)]
-    best: list[int] = []
+    best: tuple[int, ...] = (1,)  # every first code is 0, so above every leaf
     best_perm: tuple[int, ...] | None = None
-    perm: list[int] = []
-    codes: list[int] = []
-    used = [False] * n
-    up = [0] * n
-    down = [0] * n
 
-    def rec(tight: bool, placed: int) -> None:
-        # tight: the prefix codes equal best[:t]; otherwise they are less
+    def rec(prefix: tuple[int, ...], perm: tuple[int, ...], placed: int) -> None:
         nonlocal best, best_perm
-        t = len(perm)
+        t = len(prefix)
         if t == n:
-            if not tight:
-                best = list(codes)
-                best_perm = tuple(perm)
+            if prefix < best:
+                best, best_perm = prefix, perm
             return
         for old in slots[t]:
-            if used[old] or twin[old] & ~placed:
+            if placed >> old & 1 or twin[old] & ~placed:
                 continue
-            code = up[old] << t | down[old]
-            if tight and code > best[t]:
-                continue
-            used[old] = True
-            perm.append(old)
-            codes.append(code)
             row = rel[old]
-            for u in range(n):
-                if not used[u]:
-                    up[u] = up[u] << 1 | rel[u] >> old & 1
-                    down[u] = down[u] << 1 | row >> u & 1
-            rec(tight and code == best[t], placed | 1 << old)
-            for u in range(n):
-                if not used[u]:
-                    up[u] >>= 1
-                    down[u] >>= 1
-            codes.pop()
-            perm.pop()
-            used[old] = False
-            # a leaf below either matched best or replaced it
-            tight = True
+            up = down = 0
+            for p in perm:
+                up = up << 1 | row >> p & 1
+                down = down << 1 | rel[p] >> old & 1
+            codes = prefix + (up << t | down,)
+            if codes > best[:t + 1]:
+                continue
+            rec(codes, perm + (old,), placed | 1 << old)
 
-    rec(False, 0)
+    rec((), (), 0)
     if best_perm is None:
         raise AssertionError("the canonical search reached no leaf")
     return best_perm

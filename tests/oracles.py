@@ -503,9 +503,12 @@ def refine_colours_reference(P: Poset) -> tuple[list[int], list[list[tuple]]]:
 
 
 def canonical_form_reference(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical up-rows and certificate by morphisms.canonical_form's
-    branch-and-bound, run on every poset: no forced path, and the colours
-    from refine_colours_reference."""
+    """Canonical up-rows and certificate by the branch-and-bound that
+    morphisms.canonical_form ran before it computed each code from the
+    placed prefix, run on every poset: no forced path, and the colours
+    from refine_colours_reference.  It keeps both code strings of every
+    unplaced element up to date, undoes them on the way back and tracks
+    a tight flag, so it is an independent reference for that search."""
     n = P.n
     if n == 0:
         return (), ()

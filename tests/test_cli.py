@@ -556,9 +556,11 @@ COUNTEREXAMPLE_SHA256 = {
         "ef33d0e36a8fc70fc750834c348bc56fa66edf482460ccab56c04ed2d7277d36",
 }
 COMPLETE_N4_SHA256 = "83ef0503aac663905b6f740435925edbfa6198d223dcdd47cd640ab97c646681"
-GEN_N6_SHA256 = {
-    "text": "a901a054d323920d8042dcc3fa4485d6dbd04aaf1cd1b36be7c988df59b6187d",
-    "json": "68d7fcc383e14e620cdd2c07847c209e88aabc860ca79c0b9700ca811680a2dd",
+# gen; at n=7 the canonical search runs on 225 children, at n<=6 on 37
+GEN_SHA256 = {
+    ("6", "text"): "a901a054d323920d8042dcc3fa4485d6dbd04aaf1cd1b36be7c988df59b6187d",
+    ("6", "json"): "68d7fcc383e14e620cdd2c07847c209e88aabc860ca79c0b9700ca811680a2dd",
+    ("7", "json"): "af9075bc6409c5026dc6088b8e7e4d33e449d95a89d1e314276dddee9316bd1d",
 }
 
 
@@ -567,8 +569,8 @@ def test_outputs_match_their_pinned_digests(capsys, monkeypatch):
         rc, out, _ = run_cli(capsys, "--format", fmt, "check", "--suite", "all",
                              "--max-n", max_n)
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
-    for fmt, digest in GEN_N6_SHA256.items():
-        rc, out, _ = run_cli(capsys, "--format", fmt, "gen", "--max-n", "6")
+    for (max_n, fmt), digest in GEN_SHA256.items():
+        rc, out, _ = run_cli(capsys, "--format", fmt, "gen", "--max-n", max_n)
         assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
     for (name, *rest), digest in COUNTEREXAMPLE_SHA256.items():
         rc, out, _ = run_cli(capsys, "--format", "json", "counterexample", "--name", name,

@@ -49,7 +49,7 @@ from posetideals.morphisms import (
     MAP_KINDS,
     STRICTLY_ISOTONE,
 )
-from posetideals.poset import Poset, disjoint_union, previous_twins
+from posetideals.poset import Poset, disjoint_union, from_up_rows, previous_twins
 from posetideals.verification import (
     CHAIN_EXCEEDS_POSET,
     NOT_AN_IDEAL_OF_CHAINS,
@@ -229,6 +229,20 @@ def test_canonical_form_against_the_search_on_every_class(corpus6):
         assert (canon.up, cert) == canonical_form_reference(P)
 
 
+@pytest.mark.parametrize("vees, twins", [(2, 5), (2, 7), (3, 3)])
+def test_canonical_form_against_the_search_on_tie_heavy_posets(vees, twins):
+    # disjoint V's, each of `twins` twins under one top: two colours against
+    # 2 * vees twin classes, so the search runs 12 to 16 deep, and every
+    # ordering of the V's ties, which no corpus class does
+    V = from_up_rows([1 << i | 1 << twins for i in range(twins)] + [1 << twins])
+    P = disjoint_union([V] * vees)
+    perm = list(range(P.n))
+    random.Random(7).shuffle(perm)
+    Q = relabel(P, perm)
+    canon, cert = canonical_form(Q)
+    assert (canon.up, cert) == canonical_form_reference(Q)
+
+
 @pytest.mark.parametrize("P, searched", [
     (chain(5), False),                            # five colours, five twin classes
     (antichain(5), False),                        # one colour, one twin class
@@ -264,9 +278,8 @@ def test_canonical_form_pulls_rounds_up_to_the_twin_partition(monkeypatch, corpu
             yield r
 
     monkeypatch.setattr(morphisms, "refine_colours", spy)
-    # the empty poset has no element to colour, and is never refined
+    # the empty poset is refined too: one round, with no colour and no twin class
     cases = [P for _, P in corpus6.items()] + seeded_relabelings(corpus6, 3, seed=5)
-    cases = [P for P in cases if P.n]
     early = 0
     for P in cases:
         pulled.clear()
