@@ -4,11 +4,14 @@ classify() tabulates the least upper bound of every pair, decides
 whether every pair has a greatest lower bound, and tags the poset
 upper / lower / lattice / neither.  A poset with no pairs (n <= 1) is
 vacuously a lattice.
+
+subsemilattices and semilattice_homs search from their definitions.  No
+suite calls them: thm31 and cor32 are settled by counting.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .morphisms import ISOTONE, MonotoneMap, iter_maps, map_kind
 from .poset import Poset, bits, induced, least_in
@@ -82,73 +85,34 @@ def substructure(S: SemilatticeStructure, carrier: int) -> SemilatticeStructure:
 
 
 def subsemilattices(S: SemilatticeStructure) -> Iterator[int]:
-    """All join-closed subsets of an upper semilattice, ascending mask order.
-
-    Includes the empty set and every singleton.
-    """
+    """All join-closed subsets of an upper semilattice, ascending mask
+    order, the empty set and every singleton included."""
     if not S.is_upper:
         raise ValueError("subsemilattices requires an upper semilattice")
-    n = S.base.n
-    for m in range(1 << n):
+    for m in range(1 << S.base.n):
         elems = list(bits(m))
-        ok = True
-        for a in range(len(elems)):
-            for b in range(a + 1, len(elems)):
-                j = S.join[elems[a]][elems[b]]
-                if j is None or not m >> j & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(m >> S.join[a][b] & 1 for i, a in enumerate(elems) for b in elems[i + 1:]):
             yield m
 
 
-def _join_irreducibles(S: SemilatticeStructure) -> int:
-    """The mask of the elements that are not the join of two elements
-    strictly below them (every minimal element among them)."""
-    out = 0
-    for x in range(S.base.n):
-        lows = list(bits(S.base.down[x] & ~(1 << x)))
-        if all(S.join[a][b] != x for a in lows for b in lows):
-            out |= 1 << x
-    return out
-
-
-def _fold_join(T: SemilatticeStructure, xs: Sequence[int]) -> int:
-    acc = xs[0]
-    for x in xs[1:]:
-        nxt = T.join[acc][x]
-        if nxt is None:
-            raise AssertionError("a join is missing from an upper semilattice")
-        acc = nxt
-    return acc
-
-
 def semilattice_homs(S0: SemilatticeStructure, T: SemilatticeStructure) -> Iterator[MonotoneMap]:
-    """All surjective join-preserving maps S0 -> T.
-
-    Images of the join-irreducible elements determine the rest: every
-    element of a finite upper semilattice is the join of the irreducibles
-    below it.  iter_maps enumerates the isotone maps from the irreducibles'
-    subposet into T, within its default budget; each extends by joins and
-    is then verified for join preservation and surjectivity on the full
-    map, never trusting the generator coverage.  With |S0| < |T| it
-    returns before searching: an image has at most |S0| points.
-    """
+    """All surjective join-preserving maps S0 -> T: the isotone maps that
+    iter_maps finds within its default budget, kept when onto T and when
+    they preserve every pair's join.  None is missed, since x <= y makes
+    x v y = y, so a join homomorphism is isotone.  The search runs over all
+    of S0, not only the join-irreducibles whose images fix the rest, so a
+    large S0 spends far more of the budget: the 16-element Boolean lattice
+    onto the 8- or 16-element one exhausts the default.  With |S0| < |T|
+    it returns at once: an image has at most |S0| points."""
     if not (S0.is_upper and T.is_upper):
         raise ValueError("semilattice_homs requires upper semilattices")
     A, B = S0.base, T.base
     if A.n < B.n:
         return
-    J, ji = induced(A, _join_irreducibles(S0))
-    below = [[k for k, j in enumerate(ji) if A.leq(j, x)] for x in range(A.n)]
-    pairs = [(x, y) for x in range(A.n) for y in range(A.n)]
-    for g in iter_maps(J, B, ISOTONE):
-        img = tuple(_fold_join(T, [g[k] for k in ks]) for ks in below)
-        if any(img[S0.join[x][y]] != T.join[img[x]][img[y]] for x, y in pairs):
-            continue
-        if len(set(img)) != B.n:
+    pairs = [(x, y) for x in range(A.n) for y in range(x + 1, A.n)]
+    for img in iter_maps(A, B, ISOTONE):
+        if len(set(img)) < B.n or any(img[S0.join[x][y]] != T.join[img[x]][img[y]]
+                                       for x, y in pairs):
             continue
         kind = map_kind(A, B, img)
         if kind is None:

@@ -113,8 +113,6 @@ def iter_maps(A: Poset, B: Poset, kind: str = ISOTONE,
     if A.n == 0:
         yield ()
         return
-    if B.n == 0:
-        return
     if kind == STRICTLY_ISOTONE and A.height > B.height:
         return
     full = B.full_mask

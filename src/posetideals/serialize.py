@@ -107,8 +107,10 @@ def family_order_from_json(doc: dict) -> Poset:
     The order comes from the sets alone, by the builder every family uses
     (so past FAMILY_CAP sets it raises CapacityExceeded), and leq must
     agree with it: every pair an inclusion, every cover pair given.  Sets
-    that are not strictly ascending, a contradictory leq or a key outside
-    FAMILY_KEYS raise ValueError."""
+    that are not strictly ascending, a contradictory leq, a key outside
+    FAMILY_KEYS or a document that is not an object raise ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a family document must be an object, got {type(doc).__name__}")
     _check_keys(doc, FAMILY_KEYS, "family")
     base_n, sets = doc.get("base_n"), doc.get("sets")
     if not _is_int(base_n) or not 0 <= base_n <= MAX_ELEMENTS:

@@ -58,6 +58,14 @@ def test_family_round_trip():
     assert order.labels == ("∅", "{0}", "{1,0}", "{2,0}", "{3,2,1,0}")
 
 
+@pytest.mark.parametrize("doc", [5, None, "sets", [], [["sets", []]]],
+                         ids=["int", "null", "string", "empty-list", "pair-list"])
+def test_family_order_from_json_rejects_a_document_that_is_not_an_object(doc):
+    # rejected as bad input before any key is read, as poset_from_json does
+    with pytest.raises(ValueError, match="must be an object"):
+        family_order_from_json(doc)
+
+
 def test_json_dumps_is_canonical():
     assert json_dumps({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
     doc = poset_to_json(diamond())
