@@ -1,6 +1,6 @@
 """Semilattice structure detection and semilattice homomorphisms.
 
-classify() tabulates the least upper bound of every pair, decides
+classify() decides whether every pair has a least upper bound and
 whether every pair has a greatest lower bound, and tags the poset
 upper / lower / lattice / neither.  A poset with no pairs (n <= 1) is
 vacuously a lattice.
@@ -12,6 +12,7 @@ suite calls them: thm31 and cor32 are settled by counting.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cached_property
 
 from .morphisms import ISOTONE, MonotoneMap, iter_maps, map_kind
 from .poset import Poset, bits, induced, least_in
@@ -24,16 +25,20 @@ NEITHER = "neither"
 
 
 class SemilatticeStructure(Record):
-    """A poset, its join table (None where a pair has no join) and its
-    structure tag.  No meet table is kept: only whether every meet
-    exists is read, through is_lower and is_lattice."""
+    """A poset and its structure tag.  No meet table is kept, and the
+    join table (None where a pair has no join) is built on first read:
+    no verdict reads it, only the two searches below."""
 
-    __slots__ = ("base", "join", "kind")
+    __slots__ = ("base", "kind", "__dict__")
 
-    def __init__(self, base: Poset, join: tuple[tuple[int | None, ...], ...], kind: str):
+    def __init__(self, base: Poset, kind: str):
         setfield(self, "base", base)
-        setfield(self, "join", join)
         setfield(self, "kind", kind)
+
+    @cached_property
+    def join(self) -> tuple[tuple[int | None, ...], ...]:
+        up = self.base.up
+        return tuple(tuple(least_in(up, a & b) for b in up) for a in up)
 
     @property
     def is_upper(self) -> bool:
@@ -49,33 +54,19 @@ class SemilatticeStructure(Record):
 
 
 def classify(P: Poset) -> SemilatticeStructure:
-    """The join table plus the structure tag.
+    """The structure tag alone.
 
-    Each unordered pair {i, j} is looked at once: its join is the least
-    member of up[i] & up[j], written into both (i, j) and (j, i), and the
-    diagonal is i itself.  Its meet, the greatest member of
-    down[i] & down[j] (least_in on the down-rows), is only tested for
-    existence, and no longer once some pair has none.
+    A pair i < j has a join when up[i] & up[j] has a least member, and a
+    meet when down[i] & down[j] has one (least_in on the down-rows); each
+    test stops at the first pair without.
     """
-    n = P.n
     up, down = P.up, P.down
-    join = [[None] * n for _ in range(n)]
-    join_total = meet_total = True
-    for i in range(n):
-        join[i][i] = i
-        for j in range(i + 1, n):
-            v = join[i][j] = join[j][i] = least_in(up, up[i] & up[j])
-            join_total = join_total and v is not None
-            meet_total = meet_total and least_in(down, down[i] & down[j]) is not None
-    if join_total and meet_total:
-        kind = LATTICE
-    elif join_total:
-        kind = UPPER
-    elif meet_total:
-        kind = LOWER
-    else:
-        kind = NEITHER
-    return SemilatticeStructure(P, tuple(map(tuple, join)), kind)
+    pairs = [(i, j) for i in range(P.n) for j in range(i + 1, P.n)]
+    join_total = all(least_in(up, up[i] & up[j]) is not None for i, j in pairs)
+    meet_total = all(least_in(down, down[i] & down[j]) is not None for i, j in pairs)
+    kind = {(True, True): LATTICE, (True, False): UPPER,
+            (False, True): LOWER, (False, False): NEITHER}[join_total, meet_total]
+    return SemilatticeStructure(P, kind)
 
 
 def substructure(S: SemilatticeStructure, carrier: int) -> SemilatticeStructure:

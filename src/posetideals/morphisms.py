@@ -176,7 +176,8 @@ def canonical_form(P: Poset) -> tuple[Poset, tuple[int, ...]]:
     certificate is the lexicographically least minimizing relabeling.
     Colours and their order are isomorphism-invariant, so isomorphic
     posets produce identical canonical relations.  Branch-and-bound on
-    encoding prefixes, within the colour order, does the search.
+    encoding prefixes, within the colour order, does the search; past
+    DEFAULT_BUDGET nodes it raises BudgetExceeded.
 
     Placing element ``old`` at position t contributes the code
     ``up << t | down``: ``up`` has one bit per placed element p, set when
@@ -234,14 +235,23 @@ def _least_relabelling(rel: tuple[int, ...], colours: list[int],
     up-rows rel within the colour order, skipping twins out of order.  A
     prefix of codes above the best leaf's is pruned, and a leaf replaces
     the best only when less: relabellings are visited in lexicographic
-    order, so the first least leaf is the least certificate."""
+    order, so the first least leaf is the least certificate.
+
+    Each prefix visited, the empty one included, costs one node; past
+    DEFAULT_BUDGET nodes, read when the search starts, it raises
+    BudgetExceeded."""
     n = len(rel)
     slots = [[old for old in range(n) if colours[old] == c] for c in sorted(colours)]
     best: tuple[int, ...] = (1,)  # every first code is 0, so above every leaf
     best_perm: tuple[int, ...] | None = None
+    budget = DEFAULT_BUDGET
+    nodes = 0
 
     def rec(prefix: tuple[int, ...], perm: tuple[int, ...], placed: int) -> None:
-        nonlocal best, best_perm
+        nonlocal best, best_perm, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(budget)
         t = len(prefix)
         if t == n:
             if prefix < best:

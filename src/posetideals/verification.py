@@ -534,10 +534,12 @@ def check_lemma_5_1(corpus: Corpus, X: list[Poset], x_name: str = "X",
 def _pair_failure(iid: str, XD: tuple[int, ...], Id: FamilyPoset | None,
                   want_meet: bool) -> dict | None:
     """The first pair a, b of XD whose meet (when want_meet) or least ideal
-    above a | b (when the ideal family Id is given) is missing from XD."""
+    above a | b (when the ideal family Id is given) is missing from XD.
+    Each unordered pair is taken once, a first: a pair fails exactly when
+    its mirror does, and the mirror comes later in the full scan."""
     members = set(XD)
-    for a in XD:
-        for b in XD:
+    for i, a in enumerate(XD):
+        for b in XD[i:]:
             if want_meet and (a & b) not in members:
                 return {"poset": iid, "a": a, "b": b, "meet": a & b}
             if Id is not None:
@@ -553,7 +555,7 @@ def _pair_failure(iid: str, XD: tuple[int, ...], Id: FamilyPoset | None,
 def _lemma_5_1_reports(corpus: Corpus, X: list[Poset], x_name: str,
                        budget: int) -> list[CheckReport]:
     ib = all(is_directed(Q, Q.full_mask) for Q in X)
-    iia_witness = next(({"pair": (Q.up, Qp.up)} for Q, Qp in product(X, X)
+    iia_witness = next(((Q.up, Qp.up) for Q, Qp in product(X, X)
                         if not any(_cofinal_image_exists(R, Q, Qp, budget) for R in X)),
                        None)
     iia = iia_witness is None
@@ -592,7 +594,8 @@ def _lemma_5_1_reports(corpus: Corpus, X: list[Poset], x_name: str,
         # anyway is worth recording: it can
         reports.append(CheckReport("lemma51.iia_to_iib", x_name, VACUOUS,
                                    {"pair_condition": False, "pair": iia_witness,
-                                    "consequent_holds": meet_failure is None}))
+                                    "consequent_holds": meet_failure is None,
+                                    "failure": meet_failure}))
     else:
         reports.append(CheckReport("lemma51.iia_to_iib", x_name,
                                    HOLDS if meet_failure is None else FAILS,

@@ -65,6 +65,22 @@ def test_classify_against_the_definitions_on_the_corpus(corpus5):
         _assert_classify_matches_the_definitions(P)
 
 
+def test_classify_builds_the_join_table_on_first_read(corpus6):
+    # the kind from the naive join tables of P and of its dual, on every
+    # n<=6 class; classify fills no table, and the one built when first
+    # read is the naive one, built once
+    for _, P in corpus6.items():
+        S = classify(P)
+        assert "join" not in S.__dict__
+        join = join_table_naive(P.n, P.leq)
+        meet = join_table_naive(P.n, lambda x, y: P.leq(y, x))
+        joins = all(j is not None for row in join for j in row)
+        meets = all(m is not None for row in meet for m in row)
+        assert S.kind == {(True, True): LATTICE, (True, False): UPPER,
+                          (False, True): LOWER, (False, False): NEITHER}[joins, meets]
+        assert S.join == tuple(map(tuple, join)) and S.join is S.join
+
+
 def test_subsemilattices_of_the_diamond():
     S = classify(diamond())
     subs = list(subsemilattices(S))

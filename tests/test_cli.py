@@ -85,6 +85,16 @@ def test_gen_over_ceiling(capsys):
     assert rc == 3 and "error" in err
 
 
+def test_gen_exits_3_when_the_canonical_search_runs_out(capsys, monkeypatch):
+    # the search reads its budget when it runs; the corpus is built afresh
+    from posetideals import cli, morphisms
+
+    monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 1)
+    monkeypatch.setattr(cli, "generate_corpus", generate_corpus.__wrapped__)
+    rc, out, err = run_cli(capsys, "gen", "--max-n", "6")
+    assert (rc, out) == (3, "") and "exceeded 1 nodes" in err
+
+
 def test_complete_ops(capsys, diamond_file):
     expected_sets = {
         "down": [0, 1, 3, 5, 7, 15],

@@ -265,6 +265,18 @@ def test_canonical_form_searches_only_when_not_forced(monkeypatch, P, searched):
     assert (canon.up, cert) == canonical_form_reference(Q)
 
 
+def test_canonical_search_is_bounded_by_the_default_budget(monkeypatch):
+    # four disjoint copies of three twins under one top: the full search
+    # visits 1 114 765 prefixes, and with the budget read at 10 000 it stops
+    # there; the largest search of the n<=8 corpus build visits 161
+    V = from_up_rows([1 << i | 1 << 3 for i in range(3)] + [1 << 3])
+    P = disjoint_union([V] * 4)
+    monkeypatch.setattr(morphisms, "DEFAULT_BUDGET", 10_000)
+    with pytest.raises(BudgetExceeded) as e:
+        canonical_form(P)
+    assert e.value.budget == 10_000
+
+
 def test_canonical_form_pulls_rounds_up_to_the_twin_partition(monkeypatch, corpus6):
     # a round whose colours number the twin classes is final, so the
     # refinement is pulled up to the first such round, or to its end when

@@ -49,13 +49,12 @@ def _principal_x_down(P, X, budget=morphisms.DEFAULT_BUDGET):
 
 
 def _all_neither(P):
-    return algebra.SemilatticeStructure(P, _classify(P).join, algebra.NEITHER)
+    return algebra.SemilatticeStructure(P, algebra.NEITHER)
 
 
 def _lattices_upper(P):
     S = _classify(P)
-    return algebra.SemilatticeStructure(
-        P, S.join, algebra.UPPER if S.is_lattice else S.kind)
+    return algebra.SemilatticeStructure(P, algebra.UPPER if S.is_lattice else S.kind)
 
 
 def _identity_form(P):

@@ -57,12 +57,11 @@ RECORDS = {
         "MonotoneMap(source=Poset(n=2), target=Poset(n=2), image=(0, 1), kind='isomorphism')",
     ),
     SemilatticeStructure: (
-        lambda: (c2(), ((0, 1), (1, 1)), "lattice"),
-        lambda: {"kind": "lattice", "join": ((0, 1), (1, 1)), "base": c2()},
-        lambda: (c2(), ((0, 1), (1, 1)), "upper"),
-        [("base", inspect.Parameter.empty), ("join", inspect.Parameter.empty),
-         ("kind", inspect.Parameter.empty)],
-        "SemilatticeStructure(base=Poset(n=2), join=((0, 1), (1, 1)), kind='lattice')",
+        lambda: (c2(), "lattice"),
+        lambda: {"kind": "lattice", "base": c2()},
+        lambda: (c2(), "upper"),
+        [("base", inspect.Parameter.empty), ("kind", inspect.Parameter.empty)],
+        "SemilatticeStructure(base=Poset(n=2), kind='lattice')",
     ),
     CheckReport: (
         lambda: ("thm21", "n1/00", "holds"),

@@ -29,6 +29,7 @@ from oracles import (
     join_table_naive,
     members,
     semilattice_homs_naive,
+    x_down_naive,
 )
 from posetideals import (
     CapacityExceeded,
@@ -255,6 +256,8 @@ def test_no_suite_lists_a_carrier_or_searches_a_hom(monkeypatch, suite, max_n, v
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("posetideals") and getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, refuse)
+    # nor read the join table that only those searches need
+    monkeypatch.setattr(algebra.SemilatticeStructure, "join", property(refuse))
     assert Counter(r.verdict for r in run_suite(suite, max_n)) == verdicts
 
 
@@ -638,6 +641,46 @@ def test_lemma_5_1_with_an_antichain_member(corpus4):
     # the meet closure happens to survive, and the report records that
     assert pairs.witness["consequent_holds"] is True
     assert reports[2].verdict == VACUOUS and reports[3].verdict == VACUOUS
+
+
+# the first pair of 2-antichain-generated downsets, at n<=6, whose meet is
+# not 2-antichain-generated
+ANTICHAIN_MEET_FAILURE = {"poset": "n6/275", "a": 31, "b": 47, "meet": 15}
+
+
+def test_lemma_5_1_over_a_2_antichain_names_its_meet_failure(corpus6):
+    anti2 = antichain(2)
+    reports = check_lemma_5_1(corpus6, [anti2], "2-antichain")
+    assert reports[1].verdict == VACUOUS
+    assert reports[1].witness == {
+        "pair_condition": False, "pair": (anti2.up, anti2.up),
+        "consequent_holds": False, "failure": ANTICHAIN_MEET_FAILURE}
+    # the pair re-checked from the definitions: n6/275 is a lower
+    # semilattice, 31 and 47 are generated by the antichain, 15 is not
+    P = dict(corpus6.items())["n6/275"]
+    assert all(m is not None for row in join_table_naive(P.n, lambda x, y: P.leq(y, x))
+               for m in row)
+    generated = x_down_naive(P, [anti2])
+    assert {31, 47} <= generated and 15 not in generated and 31 & 47 == 15
+
+
+def test_lemma_5_1_over_the_small_posets_holds_its_meets_at_n6(corpus6):
+    # X is every poset with 1 to 3 elements; the counterexample for this
+    # battery needs n=7 (n7/1747)
+    X = [P for row in generate_corpus(3).by_size[1:] for P in row]
+    reports = check_lemma_5_1(corpus6, X, "n<=3")
+    assert reports[1].verdict == VACUOUS
+    assert reports[1].witness["consequent_holds"] is True
+    assert reports[1].witness["failure"] is None
+
+
+def test_lemma_5_1_with_every_pair_cofinal_fails_its_meets_at_n6(monkeypatch, corpus6):
+    # the mutant that test_mutants.UNGATED lists, caught by this battery
+    # alone: with the pair condition forced true, iia_to_iib fails on n6/275
+    monkeypatch.setattr(verification, "_cofinal_image_exists", lambda *args: True)
+    reports = check_lemma_5_1(corpus6, [antichain(2)], "2-antichain")
+    assert (reports[1].verdict, reports[1].witness) == (
+        FAILS, {"pair_condition": True, "failure": ANTICHAIN_MEET_FAILURE})
 
 
 def test_run_suite_and_summarize(corpus4):
